@@ -73,10 +73,11 @@ class StateSpec:
 def parse_state_spec(text: str) -> StateSpec:
     """Parse a state argument: inline JSON, or a path to a JSON file."""
     path = Path(text)
-    if path.exists() and path.is_file():
-        raw = path.read_text(encoding="utf-8")
-    else:
-        raw = text
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. inline JSON longer than the system's name limit
+        is_file = False
+    raw = path.read_text(encoding="utf-8") if is_file else text
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -212,6 +213,8 @@ def _cmd_catalyze(args: argparse.Namespace) -> int:
         "noise_threshold": report.noise_threshold,
     }
     if args.epsilon is not None:
+        if not (0.0 <= args.epsilon <= 2.0):
+            raise ValueError(f"trace distance out of range [0, 2]: {args.epsilon!r}")
         payload["noise"] = args.epsilon
         payload["gain_survives_noise"] = bool(args.epsilon < report.noise_threshold)
     _print_payload(payload, args.format)

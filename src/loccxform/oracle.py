@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,12 +95,14 @@ def _batch_random_unitaries(count: int, n: int, rng: np.random.Generator) -> np.
 # Grid search over spectra dominating the source
 # ---------------------------------------------------------------------------
 
-_grid_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+# Least recently used grids are evicted past this many (total, parts) keys.
+_GRID_CACHE_SIZE = 8
+_grid_cache: OrderedDict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
 
 def _sorted_grid_points(total: int, parts: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """Nonincreasing integer compositions of ``total`` into ``parts`` slots,
-    with their cumulative sums; cached per (total, parts)."""
+    with their cumulative sums; the last ``_GRID_CACHE_SIZE`` keys are cached."""
     key = (total, parts)
     cached = _grid_cache.get(key)
     if cached is not None:
@@ -107,6 +110,7 @@ def _sorted_grid_points(total: int, parts: int, budget: int) -> tuple[np.ndarray
             raise GridBudgetError(
                 f"{len(cached[0])} grid points exceed the budget of {budget}"
             )
+        _grid_cache.move_to_end(key)
         return cached
 
     rows: list[list[int]] = []
@@ -130,6 +134,8 @@ def _sorted_grid_points(total: int, parts: int, budget: int) -> tuple[np.ndarray
     pts.setflags(write=False)
     cum.setflags(write=False)
     _grid_cache[key] = (pts, cum)
+    if len(_grid_cache) > _GRID_CACHE_SIZE:
+        _grid_cache.popitem(last=False)
     return pts, cum
 
 

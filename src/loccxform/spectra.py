@@ -9,7 +9,9 @@ spectra only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -35,14 +37,22 @@ class SchmidtSpectrum:
         vals = [float(p) for p in self.probs]
         if not vals:
             raise ValueError("spectrum must have at least one entry")
-        if any(p < -NORMALIZATION_ATOL for p in vals):
-            raise ValueError(f"negative probability in spectrum: {min(vals)}")
-        vals = [max(p, 0.0) for p in vals]
+        low = min(vals)
+        if low < 0.0:
+            if low < -NORMALIZATION_ATOL:
+                raise ValueError(f"negative probability in spectrum: {low}")
+            vals = [max(p, 0.0) for p in vals]
         resorted = self.resorted
-        if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
+        if any(map(operator.lt, vals, vals[1:])):
             vals.sort(reverse=True)
             resorted = True
-        total = math.fsum(vals)
+        try:
+            total = math.fsum(vals)
+        except OverflowError:  # finite entries whose sum leaves the float range
+            total = math.inf
+        # NaN fails every comparison above; the sum is where it shows.
+        if not math.isfinite(total):
+            raise ValueError(f"spectrum entries must be finite: sum = {total!r}")
         if abs(total - 1.0) > NORMALIZATION_ACCEPT:
             raise ValueError(f"spectrum not normalized: sum = {total!r}")
         if abs(total - 1.0) > NORMALIZATION_ATOL:
@@ -91,6 +101,8 @@ class BipartiteState:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"amplitude matrix must be square, got shape {arr.shape}")
         norm = float(np.linalg.norm(arr))
+        if not math.isfinite(norm):
+            raise ValueError(f"amplitudes must be finite: |amplitudes| = {norm!r}")
         if abs(norm - 1.0) > NORMALIZATION_ACCEPT:
             raise ValueError(f"state not normalized: |amplitudes| = {norm!r}")
         arr = arr / norm
@@ -171,11 +183,17 @@ def trace_distance_from_fidelity(f: float) -> float:
     return 2.0 * math.sqrt(1.0 - f)
 
 
+# Types a JSON number decodes to; true and false decode to bool, not int.
+_JSON_NUMBERS = {int, float}
+
+
 def parse_state_dict(obj: object) -> SchmidtSpectrum | BipartiteState:
     """Decode the JSON state encoding.
 
     Accepts {"schmidt": [p1, p2, ...]} or {"amplitudes": [[[re, im], ...], ...]}
-    (row-major n x n); exactly one of the two keys must be present.
+    (row-major n x n); exactly one of the two keys must be present.  Every
+    entry must be a JSON number; NaN and infinities are rejected with the
+    spectrum or state they would enter.
     """
     if not isinstance(obj, dict):
         raise ValueError("state must be a JSON object")
@@ -184,17 +202,26 @@ def parse_state_dict(obj: object) -> SchmidtSpectrum | BipartiteState:
         raise ValueError('state needs exactly one of "schmidt" or "amplitudes"')
     if "schmidt" in obj:
         probs = obj["schmidt"]
-        if not isinstance(probs, list) or not probs:
+        if not isinstance(probs, list) or not probs or not set(map(type, probs)) <= _JSON_NUMBERS:
             raise ValueError('"schmidt" must be a non-empty list of numbers')
-        return SchmidtSpectrum(tuple(float(p) for p in probs))
+        try:
+            return SchmidtSpectrum(tuple(probs))
+        except OverflowError as exc:  # an integer literal past the float range
+            raise ValueError(f'"schmidt" entry out of range: {exc}') from exc
     rows = obj["amplitudes"]
     if not isinstance(rows, list) or not rows:
         raise ValueError('"amplitudes" must be a non-empty matrix')
     try:
-        mat = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-            dtype=complex,
+        entries = list(chain.from_iterable(rows))
+        numbers = list(chain.from_iterable(entries))
+        well_formed = (
+            len(set(map(len, rows))) == 1
+            and set(map(len, entries)) == {2}
+            and set(map(type, numbers)) <= _JSON_NUMBERS
         )
-    except (TypeError, IndexError) as exc:
-        raise ValueError('"amplitudes" entries must be [re, im] pairs') from exc
-    return BipartiteState(mat)
+        pairs = np.array(numbers, dtype=float).reshape(len(rows), -1, 2) if well_formed else None
+    except (TypeError, OverflowError):
+        pairs = None
+    if pairs is None:
+        raise ValueError('"amplitudes" entries must be [re, im] pairs of numbers')
+    return BipartiteState(pairs.view(complex)[..., 0])

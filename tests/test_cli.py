@@ -3,9 +3,10 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from loccxform import SchmidtSpectrum, optimal_fidelity
+from loccxform import BipartiteState, SchmidtSpectrum, optimal_fidelity, schmidt_spectrum
 from loccxform.cli import emit_csv, main, parse_state_spec, report_to_dict
 
 PSI = '{"schmidt":[0.8,0.2]}'
@@ -64,6 +65,36 @@ def test_report_json_round_trips(capsys):
     for got, want in zip(emitted["segments"], recomputed["segments"]):
         for key in ("r", "A", "B"):
             assert got[key] == pytest.approx(want[key], abs=1e-12)
+
+
+def test_report_accepts_long_inline_amplitudes(capsys):
+    # a 3x3 matrix at full precision is longer than a file name may be
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    m /= np.linalg.norm(m)
+    rows = [[[z.real, z.imag] for z in row] for row in m.tolist()]
+    arg = json.dumps({"amplitudes": rows}, separators=(",", ":"))
+    assert 255 < len(arg) <= 420
+    code, out, err = run(capsys, "report", arg, PHI, "--format", "json")
+    assert code == 0, err
+    want = optimal_fidelity(schmidt_spectrum(BipartiteState(m)), SchmidtSpectrum((0.5, 0.5)))
+    assert json.loads(out)["f_opt"] == pytest.approx(want.f_opt, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [
+        '{"schmidt":[NaN,1]}',
+        '{"schmidt":[Infinity,0]}',
+        '{"schmidt":[true,false]}',
+        '{"amplitudes":[[[NaN,0],[0,0]],[[0,0],[1,0]]]}',
+    ],
+)
+def test_report_rejects_non_finite_and_boolean_input(capsys, psi):
+    code, out, err = run(capsys, "report", psi, PHI)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_report_with_noise_bounds(capsys):
@@ -148,6 +179,22 @@ def test_catalyze_with_noise_threshold(capsys):
     assert payload["convertible_with_catalyst"] is True
     assert payload["delta_T"] > 0.1
     assert payload["gain_survives_noise"] is True
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "-0.1", "2.5"])
+def test_catalyze_rejects_noise_out_of_range(capsys, epsilon):
+    code, out, err = run(
+        capsys,
+        "catalyze",
+        '{"schmidt":[0.4,0.4,0.1,0.1]}',
+        '{"schmidt":[0.5,0.25,0.25,0]}',
+        '{"schmidt":[0.6,0.4]}',
+        "--epsilon",
+        epsilon,
+    )
+    assert code == 2
+    assert out == ""
+    assert "range" in err
 
 
 def test_nl_dist(capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -66,6 +67,15 @@ def test_spectrum_rejects_negative_entries():
         SchmidtSpectrum((1.1, -0.1))
 
 
+@pytest.mark.parametrize(
+    "probs",
+    [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (0.5, 0.5, -math.inf), (1e308, 1e308)],
+)
+def test_spectrum_rejects_non_finite_entries(probs):
+    with pytest.raises(ValueError):
+        SchmidtSpectrum(probs)
+
+
 def test_spectrum_rejects_empty():
     with pytest.raises(ValueError):
         SchmidtSpectrum(())
@@ -124,6 +134,12 @@ def test_schmidt_spectrum_invariance_many_rotations():
 def test_bipartite_state_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         BipartiteState(np.ones((2, 3)) / math.sqrt(6))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_bipartite_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="finite"):
+        BipartiteState(np.array([[bad, 0.0], [0.0, 0.5]]))
 
 
 def test_bipartite_state_rejects_unnormalized():
@@ -296,6 +312,52 @@ def test_parse_state_dict_amplitudes():
 def test_parse_state_dict_rejects_bad_shapes(obj):
     with pytest.raises(ValueError):
         parse_state_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"schmidt": [True, False]},
+        {"schmidt": [1, False]},
+        {"schmidt": ["0.5", "0.5"]},
+        {"schmidt": [None, 1.0]},
+        {"schmidt": [{}, 1.0]},
+        {"schmidt": [10**400, 1.0]},
+        {"amplitudes": [[[True, False], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+        {"amplitudes": [[["0.7", 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.7, 0.0]]]},
+        {"amplitudes": [[[1.0, 0.0, 0.0]]]},
+        {"amplitudes": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]},
+        {"amplitudes": [[{"re": 1.0, "im": 0.0}]]},
+        {"amplitudes": [[[10**400, 0.0]]]},
+    ],
+)
+def test_parse_state_dict_rejects_non_numbers(obj):
+    with pytest.raises(ValueError):
+        parse_state_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"schmidt": [NaN, 1]}',
+        '{"schmidt": [Infinity, 0.5]}',
+        '{"schmidt": [0.5, -Infinity]}',
+        '{"amplitudes": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+        '{"amplitudes": [[[Infinity, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+    ],
+)
+def test_parse_state_dict_rejects_json_non_finite_literals(text):
+    with pytest.raises(ValueError):
+        parse_state_dict(json.loads(text))
+
+
+def test_parse_state_dict_amplitudes_are_exact():
+    entries = [[[0.6, -0.1], [0.0, 0.2]], [[0.3, 0.0], [-0.5, 0.49]]]
+    norm = math.sqrt(sum(re * re + im * im for row in entries for re, im in row))
+    rows = [[[re / norm, im / norm] for re, im in row] for row in entries]
+    parsed = parse_state_dict({"amplitudes": rows})
+    want = np.array([[complex(re, im) for re, im in row] for row in rows])
+    assert np.array_equal(parsed.amplitudes, want / np.linalg.norm(want))
 
 
 def test_pad_to_common():
