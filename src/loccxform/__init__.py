@@ -38,7 +38,6 @@ from .majorization import (
 from .oracle import (
     GridBudgetError,
     GridSpec,
-    UnitaryPair,
     ensemble_is_feasible,
     grid_max_fidelity,
     haar_random_unitary,
@@ -47,10 +46,8 @@ from .oracle import (
 )
 from .spectra import (
     BipartiteState,
-    MonotoneProfile,
     SchmidtSpectrum,
     aligned_fidelity,
-    monotones,
     pad_to_common,
     parse_state_dict,
     schmidt_spectrum,
@@ -66,13 +63,11 @@ __all__ = [
     "ConvertibilityVerdict",
     "GridBudgetError",
     "GridSpec",
-    "MonotoneProfile",
     "RobustnessInterval",
     "SchmidtSpectrum",
     "Segment",
     "Staircase",
     "TransformReport",
-    "UnitaryPair",
     "aligned_fidelity",
     "build_staircase",
     "catalysis_check",
@@ -83,7 +78,6 @@ __all__ = [
     "grid_max_fidelity",
     "haar_random_unitary",
     "majorizes",
-    "monotones",
     "nonlocal_fidelity",
     "nonlocal_trace_distance",
     "optimal_fidelity",

@@ -15,13 +15,12 @@ class CatalysisReport:
     """Effect of a shared ancilla on the conversion between two states.
 
     ``delta_T`` is the trace-distance reduction the catalyst buys; it doubles
-    as ``noise_threshold``: input noise below it cannot destroy the gain.
+    as the noise threshold: input noise below it cannot destroy the gain.
     """
 
     convertible_bare: bool
     convertible_with_catalyst: bool
     delta_T: float
-    noise_threshold: float
     trace_distance_bare: float
     trace_distance_catalyzed: float
 
@@ -100,7 +99,6 @@ def catalysis_check(
         convertible_bare=bare.deterministic,
         convertible_with_catalyst=catalyzed.deterministic,
         delta_T=delta,
-        noise_threshold=delta,
         trace_distance_bare=bare.trace_distance,
         trace_distance_catalyzed=catalyzed.trace_distance,
     )

@@ -7,7 +7,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -46,32 +45,11 @@ EXIT_IO = 3
 EXIT_VERIFY = 4
 
 
-@dataclass(frozen=True)
-class StateSpec:
-    """A parsed state input: exactly one of a spectrum or an amplitude matrix."""
-
-    schmidt: SchmidtSpectrum | None = None
-    amplitudes: BipartiteState | None = None
-    label: str | None = None
-
-    def __post_init__(self) -> None:
-        if (self.schmidt is None) == (self.amplitudes is None):
-            raise ValueError("state spec needs exactly one source")
-
-    def spectrum(self) -> SchmidtSpectrum:
-        if self.schmidt is not None:
-            return self.schmidt
-        return schmidt_spectrum(self.amplitudes)
-
-    def state(self) -> BipartiteState:
-        """Amplitude form; spectra become diagonal matrices of Schmidt coefficients."""
-        if self.amplitudes is not None:
-            return self.amplitudes
-        return BipartiteState(np.diag(np.sqrt(self.schmidt.as_array())))
-
-
-def parse_state_spec(text: str) -> StateSpec:
-    """Parse a state argument: inline JSON, or a path to a JSON file."""
+def parse_state_spec(text: str) -> SchmidtSpectrum:
+    """Parse a state argument (inline JSON, or a path to a JSON file) into its
+    spectrum, taking the SVD of amplitude input.  A spectrum given unsorted is
+    sorted with a warning on stderr that names the state's optional "label".
+    """
     path = Path(text)
     try:
         is_file = path.is_file()
@@ -82,11 +60,13 @@ def parse_state_spec(text: str) -> StateSpec:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed state JSON: {exc}") from exc
-    label = obj.get("label") if isinstance(obj, dict) else None
     parsed = parse_state_dict(obj)
-    if isinstance(parsed, SchmidtSpectrum):
-        return StateSpec(schmidt=parsed, label=label)
-    return StateSpec(amplitudes=parsed, label=label)
+    if isinstance(parsed, BipartiteState):
+        return schmidt_spectrum(parsed)
+    if parsed.resorted:
+        name = obj.get("label") or "input"
+        print(f"warning: {name} spectrum was not sorted; sorted it", file=sys.stderr)
+    return parsed
 
 
 def report_to_dict(report: TransformReport) -> dict:
@@ -126,26 +106,16 @@ def _print_payload(payload: dict, fmt: str) -> None:
             print(f"{key:18s} {value}")
 
 
-def _warn_resorted(*specs: StateSpec) -> None:
-    for spec in specs:
-        if spec.schmidt is not None and spec.schmidt.resorted:
-            name = spec.label or "input"
-            print(f"warning: {name} spectrum was not sorted; sorted it", file=sys.stderr)
-
-
-def emit_csv(labels: Sequence[str], rows: Sequence[Sequence[object]], path) -> None:
-    """Write an RFC-4180 CSV with a header row; floats use 12 significant digits."""
+def emit_csv(labels: Sequence[str], rows: Sequence[Sequence[object]], out) -> None:
+    """Write an RFC-4180 CSV with a header row to the text stream ``out``;
+    floats use 12 significant digits."""
 
     def render(cell: object) -> str:
         if isinstance(cell, float):
             return _num(cell)
         return str(cell)
 
-    writer = csv.writer(path) if hasattr(path, "write") else None
-    if writer is None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            emit_csv(labels, rows, handle)
-        return
+    writer = csv.writer(out)
     writer.writerow(labels)
     for row in rows:
         writer.writerow([render(cell) for cell in row])
@@ -159,27 +129,23 @@ def emit_csv(labels: Sequence[str], rows: Sequence[Sequence[object]], path) -> N
 def _cmd_report(args: argparse.Namespace) -> int:
     psi = parse_state_spec(args.psi)
     phi = parse_state_spec(args.phi)
-    _warn_resorted(psi, phi)
-    report = optimal_fidelity(psi.spectrum(), phi.spectrum())
+    report = optimal_fidelity(psi, phi)
     payload = report_to_dict(report)
     if args.epsilon is not None:
-        interval = robustness_interval(psi.spectrum(), phi.spectrum(), args.epsilon)
+        interval = robustness_interval(psi, phi, args.epsilon)
         payload["noisy_trace_distance_bounds"] = [interval.lower, interval.upper]
     _print_payload(payload, args.format)
     return EXIT_OK
 
 
 def _cmd_schmidt(args: argparse.Namespace) -> int:
-    spec = parse_state_spec(args.state)
-    _warn_resorted(spec)
-    _print_payload({"schmidt": list(spec.spectrum().probs)}, args.format)
+    spectrum = parse_state_spec(args.state)
+    _print_payload({"schmidt": list(spectrum.probs)}, args.format)
     return EXIT_OK
 
 
 def _cmd_teleport(args: argparse.Namespace) -> int:
-    spec = parse_state_spec(args.psi)
-    _warn_resorted(spec)
-    alpha = spec.spectrum()
+    alpha = parse_state_spec(args.psi)
     payload = {
         "dimension": args.dim if args.dim is not None else len(alpha),
         "concentration_fidelity": concentration_fidelity(alpha, args.dim),
@@ -191,9 +157,8 @@ def _cmd_teleport(args: argparse.Namespace) -> int:
 
 
 def _cmd_dilute(args: argparse.Namespace) -> int:
-    spec = parse_state_spec(args.phi)
-    _warn_resorted(spec)
-    fidelity, xi = dilution_fidelity(args.m, spec.spectrum())
+    beta = parse_state_spec(args.phi)
+    fidelity, xi = dilution_fidelity(args.m, beta)
     _print_payload({"f_opt": fidelity, "xi": list(xi.probs)}, args.format)
     return EXIT_OK
 
@@ -202,21 +167,20 @@ def _cmd_catalyze(args: argparse.Namespace) -> int:
     psi = parse_state_spec(args.psi)
     phi = parse_state_spec(args.phi)
     eta = parse_state_spec(args.eta)
-    _warn_resorted(psi, phi, eta)
-    report = catalysis_check(psi.spectrum(), phi.spectrum(), eta.spectrum())
+    report = catalysis_check(psi, phi, eta)
     payload = {
         "convertible_bare": report.convertible_bare,
         "convertible_with_catalyst": report.convertible_with_catalyst,
         "trace_distance_bare": report.trace_distance_bare,
         "trace_distance_catalyzed": report.trace_distance_catalyzed,
         "delta_T": report.delta_T,
-        "noise_threshold": report.noise_threshold,
+        "noise_threshold": report.delta_T,
     }
     if args.epsilon is not None:
         if not (0.0 <= args.epsilon <= 2.0):
             raise ValueError(f"trace distance out of range [0, 2]: {args.epsilon!r}")
         payload["noise"] = args.epsilon
-        payload["gain_survives_noise"] = bool(args.epsilon < report.noise_threshold)
+        payload["gain_survives_noise"] = bool(args.epsilon < report.delta_T)
     _print_payload(payload, args.format)
     return EXIT_OK
 
@@ -224,20 +188,17 @@ def _cmd_catalyze(args: argparse.Namespace) -> int:
 def _cmd_nl_dist(args: argparse.Namespace) -> int:
     a = parse_state_spec(args.a)
     b = parse_state_spec(args.b)
-    _warn_resorted(a, b)
     payload = {
-        "nonlocal_fidelity": nonlocal_fidelity(a.spectrum(), b.spectrum()),
-        "nonlocal_trace_distance": nonlocal_trace_distance(a.spectrum(), b.spectrum()),
+        "nonlocal_fidelity": nonlocal_fidelity(a, b),
+        "nonlocal_trace_distance": nonlocal_trace_distance(a, b),
     }
     _print_payload(payload, args.format)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    psi = parse_state_spec(args.psi)
-    phi = parse_state_spec(args.phi)
-    _warn_resorted(psi, phi)
-    alpha, beta = psi.spectrum(), phi.spectrum()
+    alpha = parse_state_spec(args.psi)
+    beta = parse_state_spec(args.phi)
     report = optimal_fidelity(alpha, beta)
 
     checks = []
@@ -295,13 +256,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    phi = parse_state_spec(args.phi)
-    _warn_resorted(phi)
+    target = parse_state_spec(args.phi)
     if not (0.0 <= args.start <= args.stop <= 1.0):
         raise ValueError("sweep range must satisfy 0 <= start <= stop <= 1")
     if args.steps < 1:
         raise ValueError("steps must be at least 1")
-    target = phi.spectrum()
     rows = []
     for t in np.linspace(args.start, args.stop, args.steps):
         alpha = SchmidtSpectrum((1.0 - float(t), float(t)))
@@ -311,7 +270,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out is None:
         emit_csv(labels, rows, sys.stdout)
     else:
-        emit_csv(labels, rows, args.out)
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            emit_csv(labels, rows, handle)
     return EXIT_OK
 
 

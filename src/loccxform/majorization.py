@@ -72,7 +72,9 @@ def verdict(pair: PaddedPair) -> ConvertibilityVerdict:
 def tail_ratio_min(pair: PaddedPair) -> float:
     """``conclusive_probability`` on a padded pair."""
     mask = pair.tb > 0.0
-    ratios = pair.ta[mask] / pair.tb[mask]
+    # a subnormal beta tail can overflow a ratio to inf, which never wins the minimum
+    with np.errstate(over="ignore"):
+        ratios = pair.ta[mask] / pair.tb[mask]
     return float(min(1.0, max(0.0, ratios.min())))
 
 

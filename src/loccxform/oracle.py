@@ -58,30 +58,9 @@ class GridSpec:
         return int(os.environ.get(BUDGET_ENV, DEFAULT_GRID_BUDGET))
 
 
-@dataclass(frozen=True, eq=False)
-class UnitaryPair:
-    """A pair of local unitaries, one per subsystem."""
-
-    U: np.ndarray
-    V: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name, mat in (("U", self.U), ("V", self.V)):
-            arr = np.asarray(mat, dtype=complex)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError(f"{name} must be square")
-            eye = np.eye(arr.shape[0])
-            if not np.allclose(arr.conj().T @ arr, eye, atol=1e-10):
-                raise ValueError(f"{name} is not unitary")
-            object.__setattr__(self, name, arr)
-
-
 def haar_random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random unitary via QR of a complex Gaussian, diagonal phases fixed."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _batch_random_unitaries(1, n, rng)[0]
 
 
 def _batch_random_unitaries(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -185,13 +164,13 @@ def _overlap(m_tau_conj: np.ndarray, rotated: np.ndarray) -> np.ndarray:
     return np.abs(amp) ** 2
 
 
-def _aligning_pair(m_tau: np.ndarray, m_omega: np.ndarray) -> UnitaryPair:
-    """The unitary pair mapping omega's Schmidt bases onto tau's."""
+def _aligning_pair(m_tau: np.ndarray, m_omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The local unitaries (U, V) mapping omega's Schmidt bases onto tau's."""
     p_tau, _, vh_tau = np.linalg.svd(m_tau)
     p_omega, _, vh_omega = np.linalg.svd(m_omega)
     u = p_tau @ p_omega.conj().T
     v = (vh_omega.conj().T @ vh_tau).T
-    return UnitaryPair(u, v)
+    return u, v
 
 
 def sample_unitary_overlap(
@@ -212,11 +191,11 @@ def sample_unitary_overlap(
     m_tau_conj = tau.amplitudes.conj()
     m_omega = omega.amplitudes
 
-    aligning = _aligning_pair(tau.amplitudes, m_omega)
+    u, v = _aligning_pair(tau.amplitudes, m_omega)
     injected = np.stack(
         [
             _overlap(m_tau_conj, m_omega),  # identity pair
-            _overlap(m_tau_conj, aligning.U @ m_omega @ aligning.V.T),
+            _overlap(m_tau_conj, u @ m_omega @ v.T),
         ]
     )
     best = float(injected.max())

@@ -31,7 +31,7 @@ class SchmidtSpectrum:
     """
 
     probs: tuple[float, ...]
-    resorted: bool = field(default=False, compare=False)
+    resorted: bool = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         vals = [float(p) for p in self.probs]
@@ -42,10 +42,9 @@ class SchmidtSpectrum:
             if low < -NORMALIZATION_ATOL:
                 raise ValueError(f"negative probability in spectrum: {low}")
             vals = [max(p, 0.0) for p in vals]
-        resorted = self.resorted
-        if any(map(operator.lt, vals, vals[1:])):
+        resorted = any(map(operator.lt, vals, vals[1:]))
+        if resorted:
             vals.sort(reverse=True)
-            resorted = True
         try:
             total = math.fsum(vals)
         except OverflowError:  # finite entries whose sum leaves the float range
@@ -72,7 +71,7 @@ class SchmidtSpectrum:
         if n < self.nonzero_count:
             raise ValueError("cannot pad below the number of nonzero entries")
         probs = self.probs[:n] + (0.0,) * (n - len(self.probs))
-        return SchmidtSpectrum(probs, resorted=self.resorted)
+        return SchmidtSpectrum(probs)
 
     @property
     def nonzero_count(self) -> int:
@@ -94,7 +93,6 @@ class BipartiteState:
     """
 
     amplitudes: np.ndarray
-    dims: int | None = None
 
     def __post_init__(self) -> None:
         arr = np.array(self.amplitudes, dtype=complex)
@@ -108,33 +106,10 @@ class BipartiteState:
         arr = arr / norm
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
-        object.__setattr__(self, "dims", arr.shape[0])
 
-
-@dataclass(frozen=True)
-class MonotoneProfile:
-    """Tail sums of a spectrum: tails[l-1] = sum of probs from level l up."""
-
-    tails: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.tails:
-            raise ValueError("profile must have at least one entry")
-        if abs(self.tails[0] - 1.0) > NORMALIZATION_ATOL:
-            raise ValueError("first tail sum must be 1")
-        if any(self.tails[i] < self.tails[i + 1] for i in range(len(self.tails) - 1)):
-            raise ValueError("tail sums must be nonincreasing")
-
-    def tail(self, level: int) -> float:
-        """1-indexed tail sum; levels past the end are 0."""
-        if level < 1:
-            raise ValueError("level is 1-indexed")
-        if level > len(self.tails):
-            return 0.0
-        return self.tails[level - 1]
-
-    def __len__(self) -> int:
-        return len(self.tails)
+    @property
+    def dims(self) -> int:
+        return self.amplitudes.shape[0]
 
 
 def schmidt_spectrum(state: BipartiteState) -> SchmidtSpectrum:
@@ -143,12 +118,6 @@ def schmidt_spectrum(state: BipartiteState) -> SchmidtSpectrum:
     probs = sv.astype(float) ** 2
     probs /= probs.sum()
     return SchmidtSpectrum(tuple(probs))
-
-
-def monotones(s: SchmidtSpectrum) -> MonotoneProfile:
-    """All tail sums of the spectrum, from the full sum down to the last entry."""
-    tails = np.cumsum(s.as_array()[::-1])[::-1]
-    return MonotoneProfile(tuple(float(t) for t in tails))
 
 
 def pad_to_common(a: SchmidtSpectrum, b: SchmidtSpectrum) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:

@@ -34,7 +34,8 @@ def reference_segments(ta: np.ndarray, tb: np.ndarray, n: int) -> list[tuple[int
     while prev > 1:
         num = ta[: prev - 1] - ta_prev
         den = tb[: prev - 1] - tb_prev
-        ratios = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
+        with np.errstate(over="ignore"):
+            ratios = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
         rmin = ratios.min()
         level = int(np.argmax(ratios <= rmin + RATIO_TIE_TOL)) + 1
         source_mass = float(num[level - 1])
@@ -71,7 +72,8 @@ def reference_report(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> dict:
     full_ta = np.cumsum(a[::-1])[::-1]
     full_tb = np.cumsum(b[::-1])[::-1]
     mask = full_tb > 0.0
-    conclusive = float(min(1.0, max(0.0, (full_ta[mask] / full_tb[mask]).min())))
+    with np.errstate(over="ignore"):
+        conclusive = float(min(1.0, max(0.0, (full_ta[mask] / full_tb[mask]).min())))
     margin = float((np.cumsum(b) - np.cumsum(a)).min())
 
     return {

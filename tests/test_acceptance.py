@@ -198,7 +198,7 @@ def test_criterion_08_catalysis_instance():
 
     # the gain survives noise strictly below the threshold and is not
     # guaranteed at or above it
-    for eps, survives in ((rep.noise_threshold / 2, True), (rep.noise_threshold * 1.5, False)):
+    for eps, survives in ((rep.delta_T / 2, True), (rep.delta_T * 1.5, False)):
         eps = min(eps, 2.0)
         noisy_upper = robustness_interval(
             SchmidtSpectrum(tuple(sorted((x * y for x in alpha.probs for y in eta.probs), reverse=True))),

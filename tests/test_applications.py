@@ -139,7 +139,6 @@ def test_trivial_catalyst_changes_nothing():
     report = catalysis_check(alpha, beta, SchmidtSpectrum((1.0,)))
     assert report.convertible_bare == report.convertible_with_catalyst
     assert report.delta_T == pytest.approx(0.0, abs=1e-12)
-    assert report.noise_threshold == report.delta_T
 
 
 def test_canonical_catalysis_instance():

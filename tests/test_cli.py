@@ -178,6 +178,7 @@ def test_catalyze_with_noise_threshold(capsys):
     assert payload["convertible_bare"] is False
     assert payload["convertible_with_catalyst"] is True
     assert payload["delta_T"] > 0.1
+    assert payload["noise_threshold"] == payload["delta_T"]
     assert payload["gain_survives_noise"] is True
 
 
@@ -277,17 +278,16 @@ def test_sweep_range_validation(capsys):
     assert code == 2
 
 
-def test_emit_csv_header_only(tmp_path):
-    path = tmp_path / "empty.csv"
-    emit_csv(("a", "b"), [], path)
-    assert path.read_bytes() == b"a,b\r\n"
+def test_emit_csv_header_only():
+    out = io.StringIO()
+    emit_csv(("a", "b"), [], out)
+    assert out.getvalue() == "a,b\r\n"
 
 
-def test_emit_csv_single_row(tmp_path):
-    path = tmp_path / "one.csv"
-    emit_csv(("x", "y"), [(0.1, 1.0 / 3.0)], path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines == ["x,y", "0.1,0.333333333333"]
+def test_emit_csv_single_row():
+    out = io.StringIO()
+    emit_csv(("x", "y"), [(0.1, 1.0 / 3.0)], out)
+    assert out.getvalue().splitlines() == ["x,y", "0.1,0.333333333333"]
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +295,18 @@ def test_emit_csv_single_row(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_parse_state_spec_label():
-    spec = parse_state_spec('{"schmidt":[0.5,0.5],"label":"bell"}')
-    assert spec.label == "bell"
-    assert spec.spectrum().probs == (0.5, 0.5)
+def test_parse_state_spec_label(capsys):
+    spectrum = parse_state_spec('{"schmidt":[0.2,0.8],"label":"psi"}')
+    assert spectrum.probs == (0.8, 0.2)
+    assert capsys.readouterr().err == "warning: psi spectrum was not sorted; sorted it\n"
+    parse_state_spec('{"schmidt":[0.5,0.5],"label":"bell"}')
+    assert capsys.readouterr().err == ""
 
 
-def test_state_spec_diagonal_state():
-    spec = parse_state_spec(PSI)
-    state = spec.state()
-    assert state.dims == 2
-    assert state.amplitudes[0, 0] == pytest.approx(math.sqrt(0.8))
+def test_parse_state_spec_amplitudes_give_the_spectrum(capsys):
+    r = math.sqrt(0.5)
+    text = json.dumps({"amplitudes": [[[0.0, 0.0], [r, 0.0]], [[r, 0.0], [0.0, 0.0]]]})
+    spectrum = parse_state_spec(text)
+    assert isinstance(spectrum, SchmidtSpectrum)
+    assert spectrum.probs == pytest.approx((0.5, 0.5), abs=1e-14)
+    assert capsys.readouterr().err == ""

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,22 @@ from loccxform import (
     tensor,
     weak_submajorizes,
 )
+from loccxform.majorization import pad_pair
 
 BELL = SchmidtSpectrum((0.5, 0.5))
 PRODUCT = SchmidtSpectrum((1.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# pad_pair
+# ---------------------------------------------------------------------------
+
+
+def test_pad_pair_tails_past_the_shorter_spectrum_are_zero():
+    pair = pad_pair(SchmidtSpectrum((0.5, 0.3, 0.2)), SchmidtSpectrum((0.25,) * 4))
+    assert tuple(pair.a) == (0.5, 0.3, 0.2, 0.0)
+    assert tuple(pair.ta) == pytest.approx((1.0, 0.5, 0.2, 0.0), abs=1e-12)
+    assert tuple(pair.tb) == pytest.approx((1.0, 0.75, 0.5, 0.25), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +164,16 @@ def test_conclusive_probability_zero_when_target_has_more_support():
     assert conclusive_probability(
         SchmidtSpectrum((0.5, 0.5, 0.0)), SchmidtSpectrum((0.6, 0.3, 0.1))
     ) == 0.0
+
+
+def test_conclusive_probability_subnormal_target_tail_is_silent():
+    # alpha's last tail over beta's subnormal one overflows to inf, which
+    # never wins the minimum; numpy must not warn about it
+    alpha = SchmidtSpectrum((0.5, 0.4, 0.1))
+    beta = SchmidtSpectrum((0.9, 0.1, 5e-324))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert conclusive_probability(alpha, beta) == 1.0
 
 
 def test_certainty_iff_deterministic():

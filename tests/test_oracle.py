@@ -9,7 +9,6 @@ from loccxform import (
     GridBudgetError,
     GridSpec,
     SchmidtSpectrum,
-    UnitaryPair,
     aligned_fidelity,
     ensemble_is_feasible,
     grid_max_fidelity,
@@ -29,7 +28,7 @@ def diagonal_state(spectrum: SchmidtSpectrum) -> BipartiteState:
 
 
 # ---------------------------------------------------------------------------
-# GridSpec / UnitaryPair plumbing
+# GridSpec and unitary plumbing
 # ---------------------------------------------------------------------------
 
 
@@ -75,14 +74,18 @@ def test_budget_env_var(monkeypatch):
 
 
 def test_unitary_pair_validation():
+    # the basis-aligning pair the Monte Carlo oracle injects is unitary and
+    # reaches the aligned fidelity
     rng = np.random.default_rng(1)
-    u = haar_random_unitary(3, rng)
-    v = haar_random_unitary(3, rng)
-    UnitaryPair(u, v)
-    with pytest.raises(ValueError, match="unitary"):
-        UnitaryPair(u, np.ones((3, 3)))
-    with pytest.raises(ValueError, match="square"):
-        UnitaryPair(u, np.ones((2, 3)))
+    for n in (1, 2, 3, 5):
+        tau, omega = random_state(rng, n), random_state(rng, n)
+        u, v = oracle._aligning_pair(tau.amplitudes, omega.amplitudes)
+        for mat in (u, v):
+            assert mat.shape == (n, n)
+            assert np.allclose(mat.conj().T @ mat, np.eye(n), atol=1e-10)
+        overlap = abs(np.vdot(tau.amplitudes, u @ omega.amplitudes @ v.T)) ** 2
+        expected = aligned_fidelity(schmidt_spectrum(tau), schmidt_spectrum(omega))
+        assert overlap == pytest.approx(expected, abs=1e-10)
 
 
 def test_haar_random_unitary_is_unitary():

@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 from conftest import random_state
 from loccxform import (
     BipartiteState,
-    MonotoneProfile,
     SchmidtSpectrum,
     aligned_fidelity,
     haar_random_unitary,
-    monotones,
     pad_to_common,
     parse_state_dict,
     schmidt_spectrum,
     tensor,
     trace_distance_from_fidelity,
 )
+from loccxform.majorization import pad_pair
 
 
 def spectra_strategy(max_n=5):
@@ -49,6 +48,9 @@ def test_spectrum_sorts_unsorted_input_and_flags_it():
     s = SchmidtSpectrum((0.2, 0.5, 0.3))
     assert s.probs == (0.5, 0.3, 0.2)
     assert s.resorted
+    # the flag reports a sort that happened; a caller cannot claim one
+    with pytest.raises(TypeError):
+        SchmidtSpectrum((0.5, 0.5), resorted=True)
 
 
 def test_spectrum_renormalizes_small_drift():
@@ -147,8 +149,15 @@ def test_bipartite_state_rejects_unnormalized():
         BipartiteState(np.eye(2))
 
 
+def test_bipartite_state_dims_is_derived():
+    m = np.eye(3) / math.sqrt(3)
+    assert BipartiteState(m).dims == 3
+    with pytest.raises(TypeError):
+        BipartiteState(m, dims=7)
+
+
 # ---------------------------------------------------------------------------
-# Monotone profiles
+# Tail sums (the entanglement monotones)
 # ---------------------------------------------------------------------------
 
 
@@ -161,24 +170,8 @@ def test_bipartite_state_rejects_unnormalized():
     ],
 )
 def test_monotones_examples(probs, expected):
-    profile = monotones(SchmidtSpectrum(probs))
-    assert profile.tails == pytest.approx(expected, abs=1e-12)
-
-
-def test_monotone_profile_tail_accessor():
-    profile = monotones(SchmidtSpectrum((0.5, 0.3, 0.2)))
-    assert profile.tail(1) == pytest.approx(1.0)
-    assert profile.tail(3) == pytest.approx(0.2)
-    assert profile.tail(4) == 0.0
-    with pytest.raises(ValueError):
-        profile.tail(0)
-
-
-def test_monotone_profile_validation():
-    with pytest.raises(ValueError, match="first tail"):
-        MonotoneProfile((0.9, 0.5))
-    with pytest.raises(ValueError, match="nonincreasing"):
-        MonotoneProfile((1.0, 0.2, 0.5))
+    s = SchmidtSpectrum(probs)
+    assert tuple(pad_pair(s, s).ta) == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +255,7 @@ def test_tensor_matches_enumeration_oracle():
 def test_tensor_commutative_and_normalized(a, b):
     ab, ba = tensor(a, b), tensor(b, a)
     assert ab.probs == pytest.approx(ba.probs, abs=1e-12)
-    assert monotones(ab).tail(1) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(ab.probs) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
