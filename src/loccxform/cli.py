@@ -49,12 +49,16 @@ def parse_state_spec(text: str) -> SchmidtSpectrum:
     """Parse a state argument (inline JSON, or a path to a JSON file) into its
     spectrum, taking the SVD of amplitude input.  A spectrum given unsorted is
     sorted with a warning on stderr that names the state's optional "label".
+    An argument that is not an existing file and does not start with "{"
+    raises FileNotFoundError.
     """
     path = Path(text)
     try:
         is_file = path.is_file()
     except OSError:  # e.g. inline JSON longer than the system's name limit
         is_file = False
+    if not is_file and not text.lstrip().startswith("{"):
+        raise FileNotFoundError(f"no state file {text!r}, and not an inline JSON object")
     raw = path.read_text(encoding="utf-8") if is_file else text
     try:
         obj = json.loads(raw)
@@ -197,6 +201,8 @@ def _cmd_nl_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer: {args.seed!r}")
     alpha = parse_state_spec(args.psi)
     beta = parse_state_spec(args.phi)
     report = optimal_fidelity(alpha, beta)

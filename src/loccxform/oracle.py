@@ -23,6 +23,9 @@ BUDGET_ENV = "LOCCXFORM_BUDGET"
 
 _MC_CHUNK = 2048
 _ENSEMBLE_MAX_BRANCHES = 4
+# A round of ensembles holds at most this many branch coefficients (or a
+# single ensemble, when one alone is larger): memory stays bounded at large n.
+_ENSEMBLE_BATCH_ELEMENTS = 1 << 18
 
 
 class GridBudgetError(RuntimeError):
@@ -35,6 +38,7 @@ class GridSpec:
 
     ``budget`` caps the number of enumerated grid points; when None it falls
     back to the LOCCXFORM_BUDGET environment variable or the built-in default.
+    Either must be a positive integer.
     """
 
     dimension: int
@@ -46,6 +50,8 @@ class GridSpec:
             raise ValueError("grid dimension must be positive")
         if not (0.0 < self.step <= 1.0):
             raise ValueError(f"grid step out of range (0, 1]: {self.step!r}")
+        if self.budget is not None and (type(self.budget) is not int or self.budget < 1):
+            raise ValueError(f"budget must be a positive integer: {self.budget!r}")
 
     @property
     def resolution(self) -> int:
@@ -55,7 +61,10 @@ class GridSpec:
     def resolved_budget(self) -> int:
         if self.budget is not None:
             return self.budget
-        return int(os.environ.get(BUDGET_ENV, DEFAULT_GRID_BUDGET))
+        text = os.environ.get(BUDGET_ENV, str(DEFAULT_GRID_BUDGET))
+        if not text.strip().isdecimal() or int(text) < 1:
+            raise ValueError(f"{BUDGET_ENV} must be a positive integer: {text!r}")
+        return int(text)
 
 
 def haar_random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -219,7 +228,12 @@ def sample_unitary_overlap(
 
 
 def _tail_sums(arr: np.ndarray) -> np.ndarray:
-    return np.cumsum(arr[::-1])[::-1]
+    return np.cumsum(arr[..., ::-1], axis=-1)[..., ::-1]
+
+
+def _feasible(tails_a: np.ndarray, weights: np.ndarray, branches: np.ndarray) -> np.ndarray:
+    """Which rows' weighted average branch tail sums stay at or below alpha's."""
+    return np.all(np.einsum("bk,bkn->bn", weights, _tail_sums(branches)) <= tails_a, axis=-1)
 
 
 def ensemble_is_feasible(
@@ -228,77 +242,52 @@ def ensemble_is_feasible(
     """Do the weighted branch spectra keep every average tail sum at or below
     alpha's?  (The acceptance condition for a probabilistic conversion.)"""
     n = max(len(alpha), max(len(g) for g in branches))
-    tails_a = _tail_sums(np.pad(alpha.as_array(), (0, n - len(alpha))))
-    avg = np.zeros(n)
-    for w, g in zip(weights, branches):
-        avg += w * _tail_sums(np.pad(g, (0, n - len(g))))
-    return bool(np.all(avg <= tails_a))
+    a, *gs = (np.pad(g, (0, n - len(g))) for g in [alpha.as_array(), *branches])
+    return bool(_feasible(_tail_sums(a), np.asarray(weights)[None], np.stack(gs)[None])[0])
 
 
-def _dominating_variant(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Random spectrum whose tails never exceed a's: repeatedly shift mass
-    from a lower coefficient to a higher one and re-sort."""
-    g = a.copy()
-    n = len(g)
-    if n == 1:
-        return g
-    for _ in range(int(rng.integers(1, 4))):
-        j = int(rng.integers(1, n))
-        i = int(rng.integers(0, j))
-        amount = rng.uniform(0.0, g[j])
-        g[j] -= amount
-        g[i] += amount
-        g[::-1].sort()
-    return g
+def _dominating_variants(a: np.ndarray, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """(rows, 4, n) spectra with tails at most a's: 1-3 upward mass shifts each."""
+    g, n = np.tile(a, (rows * _ENSEMBLE_MAX_BRANCHES, 1)), len(a)
+    idx, shifts = np.arange(len(g)), rng.integers(1, 4, size=len(g))
+    for step in range(3 if n > 1 else 0):
+        j = rng.integers(1, n, size=len(g))
+        i = rng.integers(0, j)
+        amount = rng.uniform(0.0, g[idx, j]) * (step < shifts)
+        g[idx, j] -= amount
+        g[idx, i] += amount
+        g = np.sort(g)[:, ::-1]
+    return g.reshape(rows, _ENSEMBLE_MAX_BRANCHES, n)
 
 
 def sample_feasible_ensembles(
     alpha: SchmidtSpectrum, beta: SchmidtSpectrum, count: int, seed: int
 ) -> list[float]:
-    """Average overlaps with beta of random feasible probabilistic conversions.
-
-    Each ensemble holds up to four branch spectra with Dirichlet weights;
-    candidates are kept only if ``ensemble_is_feasible`` confirms the average
-    tail-sum constraints, and rejected draws fall back to branches built to
-    dominate alpha (so the feasible set is never empty).  The do-nothing
-    ensemble {1, alpha} is always emitted first.
-    """
+    """Average overlaps with beta of random feasible probabilistic conversions:
+    the do-nothing ensemble {1, alpha}, then batches of up to four weighted
+    branches (alpha, a variant dominating it, beta or a sorted Dirichlet draw).
+    A row failing ``_feasible`` gets fresh dominating variants under the same
+    weights and is dropped if it still fails."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    a, b = pad_to_common(alpha, beta)
-    a_arr, b_arr = a.as_array(), b.as_array()
-    n = len(a_arr)
+    a_arr, b_arr = (s.as_array() for s in pad_to_common(alpha, beta))
+    n, k_max, tails_a = len(a_arr), _ENSEMBLE_MAX_BRANCHES, _tail_sums(a_arr)
+    cap = max(1, _ENSEMBLE_BATCH_ELEMENTS // (k_max * n))
     rng = np.random.default_rng(seed)
-
-    def avg_overlap(weights: np.ndarray, branches: list[np.ndarray]) -> float:
-        return float(
-            sum(
-                w * min(1.0, np.sqrt(g * b_arr).sum() ** 2)
-                for w, g in zip(weights, branches)
-            )
-        )
-
     values = [aligned_fidelity(alpha, beta)]
     while len(values) < count:
-        k = int(rng.integers(1, _ENSEMBLE_MAX_BRANCHES + 1))
-        weights = rng.dirichlet(np.ones(k))
-        branches = []
-        for _ in range(k):
-            kind = rng.integers(0, 4)
-            if kind == 0:
-                branches.append(a_arr.copy())
-            elif kind == 1:
-                branches.append(_dominating_variant(a_arr, rng))
-            elif kind == 2:
-                branches.append(b_arr.copy())
-            else:
-                mix = rng.dirichlet(np.ones(n))
-                mix[::-1].sort()
-                branches.append(mix)
-        if not ensemble_is_feasible(alpha, weights, branches):
-            # guaranteed-feasible fallback keeps the stream moving
-            branches = [_dominating_variant(a_arr, rng) for _ in range(k)]
-            if not ensemble_is_feasible(alpha, weights, branches):
-                continue
-        values.append(avg_overlap(weights, branches))
+        batch = min(count - len(values), cap)
+        # normalised exponentials on the first k slots: Dirichlet(1_k) weights
+        live = np.arange(k_max) < rng.integers(1, k_max + 1, size=(batch, 1))
+        weights = rng.standard_exponential((batch, k_max)) * live
+        weights /= weights.sum(axis=1, keepdims=True)
+        kind = rng.integers(0, 4, size=(batch, k_max, 1))
+        variants = _dominating_variants(a_arr, batch, rng)
+        mixes = np.sort(rng.dirichlet(np.ones(n), size=(batch, k_max)))[..., ::-1]
+        branches = np.select([kind == 0, kind == 1, kind == 2], [a_arr, variants, b_arr], mixes)
+        retry = ~_feasible(tails_a, weights, branches)
+        branches[retry] = _dominating_variants(a_arr, int(retry.sum()), rng)
+        overlaps = np.minimum(1.0, np.sqrt(branches * b_arr).sum(axis=-1) ** 2)
+        averages = (weights * overlaps).sum(axis=1)
+        values.extend(averages[_feasible(tails_a, weights, branches)].tolist())
     return values

@@ -118,6 +118,20 @@ def test_report_rejects_malformed_json(capsys):
     assert "malformed" in err
 
 
+def test_missing_state_file_is_an_io_error(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-dir" / "psi.json")
+    code, out, err = run(capsys, "report", missing, '{"schmidt":[1]}')
+    assert code == 3
+    assert out == ""
+    assert err.startswith("i/o error:") and missing in err
+
+
+def test_inline_state_with_leading_whitespace(capsys):
+    code, out, _ = run(capsys, "report", "\n  " + PSI, PHI, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["f_opt"] == pytest.approx(0.9, abs=1e-12)
+
+
 def test_state_file_input(tmp_path, capsys):
     path = tmp_path / "psi.json"
     path.write_text(PSI, encoding="utf-8")
@@ -234,6 +248,13 @@ def test_verify_pads_unequal_lengths(capsys):
     )
     assert code == 0
     assert all(check["pass"] for check in json.loads(out))
+
+
+def test_verify_rejects_negative_seed(capsys):
+    code, out, err = run(capsys, "verify", PSI, PHI, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err
 
 
 def test_verify_requires_seed(capsys):

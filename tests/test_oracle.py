@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import floored_spectrum, random_spectrum, random_state
 from loccxform import (
@@ -39,6 +41,9 @@ def test_grid_spec_validation():
         GridSpec(2, 0.0)
     assert GridSpec(3, 0.01).resolution == 100
     assert GridSpec(3, 0.01, budget=5).resolved_budget == 5
+    for budget in (0, -5, 2.5, True, "10"):
+        with pytest.raises(ValueError, match="budget"):
+            GridSpec(3, 0.01, budget=budget)
 
 
 def test_grid_budget_error():
@@ -71,6 +76,10 @@ def test_budget_env_var(monkeypatch):
         grid_max_fidelity(BELL, BELL, GridSpec(2, 0.01))
     monkeypatch.setenv("LOCCXFORM_BUDGET", "1000000")
     assert grid_max_fidelity(BELL, BELL, GridSpec(2, 0.01)) == pytest.approx(1.0, abs=1e-12)
+    for text in ("abc", "-5", "0", "", "2.5"):
+        monkeypatch.setenv("LOCCXFORM_BUDGET", text)
+        with pytest.raises(ValueError, match="LOCCXFORM_BUDGET"):
+            grid_max_fidelity(BELL, BELL, GridSpec(2, 0.01))
 
 
 def test_unitary_pair_validation():
@@ -242,3 +251,33 @@ def test_ensembles_reproducible():
 def test_ensembles_count_validation():
     with pytest.raises(ValueError, match="count"):
         sample_feasible_ensembles(BELL, BELL, count=0, seed=0)
+
+
+@st.composite
+def zero_padded_spectra(draw) -> SchmidtSpectrum:
+    """Spectra of length 1..6, some ending in zero coefficients."""
+    n = draw(st.integers(1, 6))
+    zeros = draw(st.integers(0, n - 1))
+    vals = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n - zeros, max_size=n - zeros)))
+    return SchmidtSpectrum(tuple(np.sort(vals / vals.sum())[::-1].tolist()) + (0.0,) * zeros)
+
+
+@given(zero_padded_spectra(), zero_padded_spectra(), st.integers(0, 2**31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_batched_ensembles_start_with_do_nothing_and_stay_below_optimum(alpha, beta, seed):
+    values = sample_feasible_ensembles(alpha, beta, count=300, seed=seed)
+    assert len(values) == 300
+    assert values[0] == aligned_fidelity(alpha, beta)
+    assert max(values) <= optimal_fidelity(alpha, beta).f_opt + 1e-10
+
+
+def test_ensembles_at_large_n_take_several_batches():
+    n = 4096
+    # the element budget holds fewer than 20 ensembles of 4 branches at n=4096
+    assert oracle._ENSEMBLE_BATCH_ELEMENTS // (oracle._ENSEMBLE_MAX_BRANCHES * n) < 20
+    rng = np.random.default_rng(4096)
+    alpha, beta = random_spectrum(rng, n), random_spectrum(rng, n)
+    values = sample_feasible_ensembles(alpha, beta, count=20, seed=5)
+    assert len(values) == 20
+    assert values[0] == aligned_fidelity(alpha, beta)
+    assert max(values) <= optimal_fidelity(alpha, beta).f_opt + 1e-10
