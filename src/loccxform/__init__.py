@@ -11,7 +11,6 @@ answer live in ``loccxform.oracle``.
 
 from .applications import (
     CatalysisReport,
-    RobustnessInterval,
     catalysis_check,
     concentration_fidelity,
     dilution_fidelity,
@@ -40,7 +39,6 @@ from .oracle import (
     GridSpec,
     ensemble_is_feasible,
     grid_max_fidelity,
-    haar_random_unitary,
     sample_feasible_ensembles,
     sample_unitary_overlap,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "ConvertibilityVerdict",
     "GridBudgetError",
     "GridSpec",
-    "RobustnessInterval",
     "SchmidtSpectrum",
     "Segment",
     "Staircase",
@@ -76,7 +73,6 @@ __all__ = [
     "dilution_fidelity",
     "ensemble_is_feasible",
     "grid_max_fidelity",
-    "haar_random_unitary",
     "majorizes",
     "nonlocal_fidelity",
     "nonlocal_trace_distance",

@@ -25,14 +25,6 @@ class CatalysisReport:
     trace_distance_catalyzed: float
 
 
-@dataclass(frozen=True)
-class RobustnessInterval:
-    """Bounds on the reachable trace distance when the input is noisy."""
-
-    lower: float
-    upper: float
-
-
 def _resolve_dimension(alpha: SchmidtSpectrum, n: int | None) -> int:
     if n is None:
         n = len(alpha)
@@ -106,8 +98,9 @@ def catalysis_check(
 
 def robustness_interval(
     alpha: SchmidtSpectrum, beta: SchmidtSpectrum, epsilon: float
-) -> RobustnessInterval:
-    """Reachable trace distance to beta from a state epsilon-close to alpha.
+) -> tuple[float, float]:
+    """Bounds (lower, upper) on the trace distance to beta reachable from a
+    state epsilon-close to alpha.
 
     epsilon is the trace distance between the corrupted input and alpha; the
     reachable distance can move by at most that much in either direction.
@@ -115,7 +108,7 @@ def robustness_interval(
     if not (0.0 <= epsilon <= 2.0):
         raise ValueError(f"trace distance out of range [0, 2]: {epsilon!r}")
     t_opt = optimal_fidelity(alpha, beta).trace_distance
-    return RobustnessInterval(max(0.0, t_opt - epsilon), min(2.0, t_opt + epsilon))
+    return max(0.0, t_opt - epsilon), min(2.0, t_opt + epsilon)
 
 
 def nonlocal_fidelity(a: SchmidtSpectrum, b: SchmidtSpectrum) -> float:

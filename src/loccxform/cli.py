@@ -31,10 +31,13 @@ from .oracle import (
     sample_unitary_overlap,
 )
 from .spectra import (
+    FIDELITY_SNAP,
+    ORACLE_TOL,
+    SAMPLED_OVERLAP_TOL,
     BipartiteState,
     SchmidtSpectrum,
     aligned_fidelity,
-    pad_to_common,
+    pad_pair,
     parse_state_dict,
     schmidt_spectrum,
 )
@@ -114,15 +117,10 @@ def emit_csv(labels: Sequence[str], rows: Sequence[Sequence[object]], out) -> No
     """Write an RFC-4180 CSV with a header row to the text stream ``out``;
     floats use 12 significant digits."""
 
-    def render(cell: object) -> str:
-        if isinstance(cell, float):
-            return _num(cell)
-        return str(cell)
-
     writer = csv.writer(out)
     writer.writerow(labels)
     for row in rows:
-        writer.writerow([render(cell) for cell in row])
+        writer.writerow([_num(cell) if isinstance(cell, float) else str(cell) for cell in row])
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +134,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     report = optimal_fidelity(psi, phi)
     payload = report_to_dict(report)
     if args.epsilon is not None:
-        interval = robustness_interval(psi, phi, args.epsilon)
-        payload["noisy_trace_distance_bounds"] = [interval.lower, interval.upper]
+        payload["noisy_trace_distance_bounds"] = list(robustness_interval(psi, phi, args.epsilon))
     _print_payload(payload, args.format)
     return EXIT_OK
 
@@ -203,51 +200,37 @@ def _cmd_nl_dist(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer: {args.seed!r}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be a positive integer: {args.trials!r}")
+    if args.ensembles < 1:
+        raise ValueError(f"--ensembles must be a positive integer: {args.ensembles!r}")
+    if not (0.0 < args.grid_step <= 1.0):
+        raise ValueError(f"--grid-step must lie in (0, 1]: {args.grid_step!r}")
     alpha = parse_state_spec(args.psi)
     beta = parse_state_spec(args.phi)
     report = optimal_fidelity(alpha, beta)
 
-    checks = []
-
-    a_pad, b_pad = pad_to_common(alpha, beta)
-    grid = grid_max_fidelity(alpha, beta, GridSpec(len(a_pad), args.grid_step))
-    gap = report.f_opt - grid
-    checks.append(
-        {
-            "claim": "grid search over dominating spectra never beats the construction",
-            "theorem_value": report.f_opt,
-            "oracle_value": grid,
-            "gap": gap,
-            "pass": bool(-1e-12 <= gap <= 2 * args.grid_step),
-        }
-    )
-
+    pair = pad_pair(alpha, beta)
+    grid = grid_max_fidelity(alpha, beta, GridSpec(len(pair.a), args.grid_step))
     # diagonal representatives of the padded spectra keep dimensions equal
-    tau = BipartiteState(np.diag(np.sqrt(a_pad.as_array())))
-    omega = BipartiteState(np.diag(np.sqrt(b_pad.as_array())))
+    tau = BipartiteState(np.diag(np.sqrt(pair.a)))
+    omega = BipartiteState(np.diag(np.sqrt(pair.b)))
     sampled = sample_unitary_overlap(tau, omega, args.trials, args.seed)
     aligned = aligned_fidelity(alpha, beta)
-    checks.append(
-        {
-            "claim": "sampled local-unitary overlaps stay at or below the aligned fidelity",
-            "theorem_value": aligned,
-            "oracle_value": sampled,
-            "gap": aligned - sampled,
-            "pass": bool(sampled <= aligned + 1e-9 and sampled >= aligned - 1e-10),
-        }
-    )
-
-    values = sample_feasible_ensembles(alpha, beta, args.ensembles, args.seed)
-    worst = max(values)
-    checks.append(
-        {
-            "claim": "no feasible probabilistic conversion beats the deterministic optimum",
-            "theorem_value": report.f_opt,
-            "oracle_value": worst,
-            "gap": report.f_opt - worst,
-            "pass": bool(worst <= report.f_opt + 1e-10),
-        }
-    )
+    worst = max(sample_feasible_ensembles(alpha, beta, args.ensembles, args.seed))
+    rows = [  # claim, theorem value, oracle value, pass
+        ("grid search over dominating spectra never beats the construction",
+         report.f_opt, grid, -FIDELITY_SNAP <= report.f_opt - grid <= 2 * args.grid_step),
+        ("sampled local-unitary overlaps stay at or below the aligned fidelity",
+         aligned, sampled, aligned - ORACLE_TOL <= sampled <= aligned + SAMPLED_OVERLAP_TOL),
+        ("no feasible probabilistic conversion beats the deterministic optimum",
+         report.f_opt, worst, worst <= report.f_opt + ORACLE_TOL),
+    ]
+    checks = [
+        {"claim": claim, "theorem_value": theorem, "oracle_value": oracle,
+         "gap": theorem - oracle, "pass": bool(ok)}
+        for claim, theorem, oracle, ok in rows
+    ]
 
     if args.format == "json":
         print(json.dumps(checks, indent=2))

@@ -24,22 +24,20 @@ point leaves it ambiguous:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .majorization import PaddedPair, pad_pair, tail_ratio_min, verdict
-from .spectra import SchmidtSpectrum, trace_distance_from_fidelity
-
-# Numerically equal tail ratios must resolve to the smaller level
-# deterministically.
-RATIO_TIE_TOL = 1e-12
-# Fidelity gaps below the spectra's own normalization tolerance are rounding
-# artifacts; collapsing them to exact unity keeps 2*sqrt(1-f) from amplifying
-# sub-ulp noise into ~1e-8 phantom distances.
-FIDELITY_SNAP = 1e-12
+from .majorization import tail_ratio_min, verdict
+from .spectra import (
+    FIDELITY_SNAP,
+    RATIO_TIE_TOL,
+    PaddedPair,
+    SchmidtSpectrum,
+    pad_pair,
+    trace_distance_from_fidelity,
+)
 
 
 class Segment(NamedTuple):
@@ -61,34 +59,13 @@ class Segment(NamedTuple):
 class Staircase:
     """Blocks of the optimal-conversion construction, in build order.
 
-    Block starts decrease strictly down to 1; ratios increase strictly; the
-    masses of either kind telescope to 1.
+    Block starts decrease strictly down to 1; ratios increase (within
+    ``RATIO_TIE_TOL``); the masses of either kind telescope to 1.  The hull
+    pass guarantees this; the constructor does not check it.
     """
 
     segments: tuple[Segment, ...]
     dimension: int
-
-    def __post_init__(self) -> None:
-        segs = tuple(self.segments)
-        if not segs:
-            raise ValueError("staircase needs at least one segment")
-        starts, ratios, source, target = zip(*segs)
-        if starts[-1] != 1:
-            raise ValueError("last segment must start at level 1")
-        if starts[0] > self.dimension:
-            raise ValueError("first segment exceeds the dimension")
-        if not all(map(operator.gt, starts, starts[1:])):
-            raise ValueError("segment starts must decrease strictly")
-        floors = [r - RATIO_TIE_TOL for r in ratios[:-1]]
-        if any(map(operator.le, ratios[1:], floors)):
-            raise ValueError("segment ratios must increase")
-        if min(source) < -RATIO_TIE_TOL or min(target) <= 0.0:
-            raise ValueError("segment masses out of range")
-        if abs(math.fsum(source) - 1.0) > 1e-9:
-            raise ValueError("source masses must telescope to 1")
-        if abs(math.fsum(target) - 1.0) > 1e-9:
-            raise ValueError("target masses must telescope to 1")
-        object.__setattr__(self, "segments", segs)
 
 
 @dataclass(frozen=True)

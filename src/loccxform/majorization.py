@@ -9,39 +9,10 @@ to a common length, with their tail sums, built once per pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .spectra import SchmidtSpectrum
-
-# Inputs carry SVD-scale noise (~1e-13); strict comparisons would misclassify
-# the exact-equality boundary at the full sum.
-PARTIAL_SUM_TOL = 1e-10
-
-
-class PaddedPair(NamedTuple):
-    """A source/target pair zero-padded to a common length.
-
-    ``ta[l-1]`` and ``tb[l-1]`` are the tail sums from level l down to the
-    last level.  The spectra are validated already, so padding copies their
-    coefficients without building or checking new spectra.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    ta: np.ndarray
-    tb: np.ndarray
-
-
-def pad_pair(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> PaddedPair:
-    """Pad both spectra to the longer length and take their tail sums."""
-    size = max(len(alpha), len(beta))
-    a = np.zeros(size)
-    b = np.zeros(size)
-    a[: len(alpha)] = alpha.probs
-    b[: len(beta)] = beta.probs
-    return PaddedPair(a, b, a[::-1].cumsum()[::-1], b[::-1].cumsum()[::-1])
+from .spectra import PARTIAL_SUM_TOL, PaddedPair, SchmidtSpectrum, pad_pair
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectra import BipartiteState, SchmidtSpectrum, aligned_fidelity, pad_to_common
+from .spectra import (
+    NORMALIZATION_ACCEPT,
+    BipartiteState,
+    SchmidtSpectrum,
+    aligned_fidelity,
+    pad_pair,
+)
 
 DEFAULT_GRID_BUDGET = 10_000_000
 BUDGET_ENV = "LOCCXFORM_BUDGET"
@@ -67,12 +73,8 @@ class GridSpec:
         return int(text)
 
 
-def haar_random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random unitary via QR of a complex Gaussian, diagonal phases fixed."""
-    return _batch_random_unitaries(1, n, rng)[0]
-
-
 def _batch_random_unitaries(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unitaries: QR of complex Gaussians, diagonal phases fixed."""
     z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
     q, r = np.linalg.qr(z / math.sqrt(2.0))
     d = np.diagonal(r, axis1=1, axis2=2)
@@ -145,21 +147,17 @@ def grid_max_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, grid: GridS
     among them.  Feasibility uses exact integer thresholds, so the result can
     never exceed the true optimum; it approaches it as the step shrinks.
     """
-    a, b = pad_to_common(alpha, beta)
-    if len(a) > grid.dimension:
-        if max(a.nonzero_count, b.nonzero_count) > grid.dimension:
-            raise ValueError("grid dimension below the spectra's nonzero support")
-        a, b = SchmidtSpectrum(a.probs[: grid.dimension]), SchmidtSpectrum(
-            b.probs[: grid.dimension]
-        )
-    else:
-        a, b = a.padded(grid.dimension), b.padded(grid.dimension)
+    if max(alpha.nonzero_count, beta.nonzero_count) > grid.dimension:
+        raise ValueError("grid dimension below the spectra's nonzero support")
+    # sorted spectra: whatever lies past the dimension is zero padding
+    pair = pad_pair(alpha, beta, grid.dimension)
+    a, b = pair.a[: grid.dimension], pair.b[: grid.dimension]
 
     big_n = grid.resolution
     pts, cum = _sorted_grid_points(big_n, grid.dimension, grid.resolved_budget)
-    thresholds = _exact_ceil_thresholds(np.cumsum(a.as_array()), big_n)
+    thresholds = _exact_ceil_thresholds(np.cumsum(a), big_n)
     feasible = np.all(cum >= thresholds, axis=1)
-    amps = np.sqrt(pts[feasible] * b.as_array()).sum(axis=1)
+    amps = np.sqrt(pts[feasible] * b).sum(axis=1)
     return float(min(1.0, amps.max() ** 2 / big_n))
 
 
@@ -240,10 +238,17 @@ def ensemble_is_feasible(
     alpha: SchmidtSpectrum, weights: np.ndarray, branches: list[np.ndarray]
 ) -> bool:
     """Do the weighted branch spectra keep every average tail sum at or below
-    alpha's?  (The acceptance condition for a probabilistic conversion.)"""
-    n = max(len(alpha), max(len(g) for g in branches))
-    a, *gs = (np.pad(g, (0, n - len(g))) for g in [alpha.as_array(), *branches])
-    return bool(_feasible(_tail_sums(a), np.asarray(weights)[None], np.stack(gs)[None])[0])
+    alpha's?  (The acceptance condition for a probabilistic conversion.)
+    ``weights`` must be a probability vector and each branch a spectrum."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (len(branches),):
+        raise ValueError(f"weights of shape {weights.shape} for {len(branches)} branches")
+    if abs(math.fsum(weights) - 1.0) > NORMALIZATION_ACCEPT or not np.all(weights >= 0.0):
+        raise ValueError(f"weights must be a probability vector: {weights.tolist()!r}")
+    n = max(len(alpha), *map(len, branches))
+    pairs = [pad_pair(alpha, SchmidtSpectrum(tuple(g)), n) for g in branches]
+    gs = np.stack([pair.b for pair in pairs])[None]
+    return bool(_feasible(_tail_sums(pairs[0].a), weights[None] / weights.sum(), gs)[0])
 
 
 def _dominating_variants(a: np.ndarray, rows: int, rng: np.random.Generator) -> np.ndarray:
@@ -270,7 +275,7 @@ def sample_feasible_ensembles(
     weights and is dropped if it still fails."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    a_arr, b_arr = (s.as_array() for s in pad_to_common(alpha, beta))
+    a_arr, b_arr, _, _ = pad_pair(alpha, beta)
     n, k_max, tails_a = len(a_arr), _ENSEMBLE_MAX_BRANCHES, _tail_sums(a_arr)
     cap = max(1, _ENSEMBLE_BATCH_ELEMENTS // (k_max * n))
     rng = np.random.default_rng(seed)

@@ -14,8 +14,7 @@ import math
 import numpy as np
 
 from loccxform import SchmidtSpectrum, trace_distance_from_fidelity
-from loccxform.faithful import FIDELITY_SNAP, RATIO_TIE_TOL
-from loccxform.majorization import PARTIAL_SUM_TOL
+from loccxform.spectra import FIDELITY_SNAP, PARTIAL_SUM_TOL, RATIO_TIE_TOL
 
 
 def reference_segments(ta: np.ndarray, tb: np.ndarray, n: int) -> list[tuple[int, float, float, float]]:

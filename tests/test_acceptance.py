@@ -146,11 +146,11 @@ def test_criterion_06_dilution_consistency():
         beta = random_spectrum(rng, n)
         for m in range(1, n + 1):
             closed, xi = dilution_fidelity(m, beta)
-            general = optimal_fidelity(SchmidtSpectrum.uniform(m).padded(n), beta)
+            general = optimal_fidelity(SchmidtSpectrum.uniform(m), beta)
             worst = max(worst, abs(closed - general.f_opt))
             worst = max(
                 worst,
-                max(abs(x - y) for x, y in zip(xi.padded(n).probs, general.xi.probs)),
+                max(abs(x - y) for x, y in zip(xi.probs, general.xi.probs, strict=True)),
             )
     ok = worst <= 1e-12
     report(6, "dilution closed form equals the general construction for all m",
@@ -204,7 +204,7 @@ def test_criterion_08_catalysis_instance():
             SchmidtSpectrum(tuple(sorted((x * y for x in alpha.probs for y in eta.probs), reverse=True))),
             SchmidtSpectrum(tuple(sorted((x * y for x in beta.probs for y in eta.probs), reverse=True))),
             eps,
-        ).upper
+        )[1]
         ok &= (noisy_upper < rep.trace_distance_bare) == survives
 
     report(8, "catalysis: bare conversion fails, catalyzed succeeds, "
@@ -235,7 +235,7 @@ def test_criterion_10_asymptotic_rates_out_of_scope():
     # computes, re-checked here on one instance of each.
     beta = SchmidtSpectrum((0.6, 0.3, 0.1))
     closed, _ = dilution_fidelity(2, beta)
-    ok = abs(closed - optimal_fidelity(SchmidtSpectrum.uniform(2).padded(3), beta).f_opt) <= 1e-12
+    ok = abs(closed - optimal_fidelity(SchmidtSpectrum.uniform(2), beta).f_opt) <= 1e-12
     alpha = SchmidtSpectrum((0.5, 0.3, 0.2))
     ok &= abs(
         concentration_fidelity(alpha)

@@ -49,7 +49,7 @@ def test_concentration_explicit_dimension():
     alpha = SchmidtSpectrum((0.7, 0.3))
     padded = concentration_fidelity(alpha, n=4)
     assert padded == pytest.approx(
-        optimal_fidelity(alpha.padded(4), SchmidtSpectrum.uniform(4)).f_opt, abs=1e-12
+        optimal_fidelity(alpha, SchmidtSpectrum.uniform(4)).f_opt, abs=1e-12
     )
     with pytest.raises(ValueError, match="dimension"):
         concentration_fidelity(SchmidtSpectrum((0.5, 0.3, 0.2)), n=2)
@@ -123,9 +123,9 @@ def test_dilution_matches_general_construction():
         beta = random_spectrum(rng, n)
         for m in range(1, n + 1):
             closed, xi = dilution_fidelity(m, beta)
-            general = optimal_fidelity(SchmidtSpectrum.uniform(m).padded(n), beta)
+            general = optimal_fidelity(SchmidtSpectrum.uniform(m), beta)
             assert closed == pytest.approx(general.f_opt, abs=1e-12)
-            assert xi.padded(n).probs == pytest.approx(general.xi.probs, abs=1e-12)
+            assert xi.probs == pytest.approx(general.xi.probs, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -166,22 +166,22 @@ def test_nothing_to_catalyze_when_convertible():
 
 
 def test_robustness_interval_degenerate():
-    interval = robustness_interval(SchmidtSpectrum((0.8, 0.2)), BELL, 0.0)
+    lower, upper = robustness_interval(SchmidtSpectrum((0.8, 0.2)), BELL, 0.0)
     t_opt = optimal_fidelity(SchmidtSpectrum((0.8, 0.2)), BELL).trace_distance
-    assert interval.lower == interval.upper == pytest.approx(t_opt, abs=1e-14)
+    assert lower == upper == pytest.approx(t_opt, abs=1e-14)
 
 
 def test_robustness_interval_clamps_at_zero():
-    interval = robustness_interval(BELL, SchmidtSpectrum((0.7, 0.3)), 0.1)
-    assert interval.lower == 0.0
-    assert interval.upper == pytest.approx(0.1, abs=1e-14)
+    lower, upper = robustness_interval(BELL, SchmidtSpectrum((0.7, 0.3)), 0.1)
+    assert lower == 0.0
+    assert upper == pytest.approx(0.1, abs=1e-14)
 
 
 def test_robustness_interval_example():
-    interval = robustness_interval(SchmidtSpectrum((0.8, 0.2)), BELL, 0.2)
+    lower, upper = robustness_interval(SchmidtSpectrum((0.8, 0.2)), BELL, 0.2)
     t_opt = 2 * math.sqrt(0.1)
-    assert interval.lower == pytest.approx(t_opt - 0.2, abs=1e-12)
-    assert interval.upper == pytest.approx(t_opt + 0.2, abs=1e-12)
+    assert lower == pytest.approx(t_opt - 0.2, abs=1e-12)
+    assert upper == pytest.approx(t_opt + 0.2, abs=1e-12)
 
 
 @pytest.mark.parametrize("eps", [-0.1, 2.1])

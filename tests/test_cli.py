@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from loccxform.cli import emit_csv, main, parse_state_spec, report_to_dict
 
 PSI = '{"schmidt":[0.8,0.2]}'
 PHI = '{"schmidt":[0.5,0.5]}'
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -250,11 +253,17 @@ def test_verify_pads_unequal_lengths(capsys):
     assert all(check["pass"] for check in json.loads(out))
 
 
-def test_verify_rejects_negative_seed(capsys):
-    code, out, err = run(capsys, "verify", PSI, PHI, "--seed", "-1")
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--seed", "-1"), ("--trials", "0"), ("--ensembles", "0"), ("--grid-step", "0"),
+     ("--grid-step", "1.5"), ("--grid-step", "nan")],
+)
+def test_verify_rejects_bad_flag_values(capsys, flag, value):
+    argv = ["verify", PSI, PHI, "--seed", "1", flag, value]
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "--seed" in err
+    assert err.startswith(f"error: {flag} must ")
 
 
 def test_verify_requires_seed(capsys):
@@ -331,3 +340,27 @@ def test_parse_state_spec_amplitudes_give_the_spectrum(capsys):
     assert isinstance(spectrum, SchmidtSpectrum)
     assert spectrum.probs == pytest.approx((0.5, 0.5), abs=1e-14)
     assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """Arguments of each `loccxform ...` line in the README's CLI block."""
+    text = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("loccxform ")]
+
+
+def test_readme_has_an_example_of_every_subcommand():
+    commands = {argv[0] for argv in readme_cli_examples()}
+    assert commands == {"report", "schmidt", "teleport", "dilute", "catalyze", "nl-dist", "verify", "sweep"}
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids=lambda argv: argv[0])
+def test_readme_cli_example_exits_zero(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    assert code == 0, capsys.readouterr().err

@@ -7,8 +7,6 @@ from conftest import floored_spectrum, random_spectrum
 from loccxform import (
     GridSpec,
     SchmidtSpectrum,
-    Segment,
-    Staircase,
     aligned_fidelity,
     build_staircase,
     conclusive_probability,
@@ -87,19 +85,6 @@ def test_staircase_structure_on_random_pairs():
         assert math.fsum(s.source_mass for s in stairs.segments) == pytest.approx(1.0, abs=1e-12)
         assert math.fsum(s.target_mass for s in stairs.segments) == pytest.approx(1.0, abs=1e-12)
         assert math.fsum(s.ratio * s.target_mass for s in stairs.segments) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_staircase_validation():
-    with pytest.raises(ValueError, match="at least one"):
-        Staircase((), 2)
-    with pytest.raises(ValueError, match="start at level 1"):
-        Staircase((Segment(2, 1.0, 1.0, 1.0),), 2)
-    with pytest.raises(ValueError, match="decrease"):
-        Staircase(
-            (Segment(1, 0.5, 0.4, 0.8), Segment(1, 1.5, 0.6, 0.2)), 2
-        )
-    with pytest.raises(ValueError, match="telescope"):
-        Staircase((Segment(1, 0.5, 0.5, 1.0),), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """The linear hull scan against the quadratic reference scan."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loccxform import SchmidtSpectrum, build_staircase, optimal_fidelity
+from loccxform import SchmidtSpectrum, Staircase, build_staircase, optimal_fidelity
+from loccxform.spectra import RATIO_TIE_TOL
 from scan_reference import reference_report
 
 SUBNORMAL = 5e-324
@@ -12,6 +15,19 @@ SUBNORMAL = 5e-324
 
 def bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_staircase_invariants(stairs: Staircase) -> None:
+    """What every staircase the hull pass builds must satisfy."""
+    assert stairs.segments, "staircase needs at least one segment"
+    starts, ratios, source, target = zip(*stairs.segments)
+    assert starts[-1] == 1, "last segment must start at level 1"
+    assert starts[0] <= stairs.dimension, "first segment exceeds the dimension"
+    assert all(a > b for a, b in zip(starts, starts[1:])), "segment starts must decrease strictly"
+    assert all(r2 > r1 - RATIO_TIE_TOL for r1, r2 in zip(ratios, ratios[1:])), "segment ratios must increase"
+    assert min(source) >= -RATIO_TIE_TOL and min(target) > 0.0, "segment masses out of range"
+    assert abs(math.fsum(source) - 1.0) <= 1e-9, "source masses must telescope to 1"
+    assert abs(math.fsum(target) - 1.0) <= 1e-9, "target masses must telescope to 1"
 
 
 @st.composite
@@ -64,6 +80,7 @@ def test_hull_scan_reproduces_reference_report_bitwise(pair):
     alpha, beta = pair
     want = reference_report(alpha, beta)
     got = optimal_fidelity(alpha, beta)
+    assert_staircase_invariants(got.staircase)
     assert [s.start for s in got.staircase.segments] == [s[0] for s in want["segments"]]
     assert got.staircase.dimension == want["dimension"]
     assert bits(got.staircase.segments) == bits(want["segments"])
@@ -79,6 +96,7 @@ def test_worst_case_has_one_block_per_level():
     source = (np.arange(1, n + 1) + 1.0) ** -3.0
     alpha = SchmidtSpectrum(tuple((source / source.sum()).tolist()))
     stairs = build_staircase(alpha, SchmidtSpectrum.uniform(n))
+    assert_staircase_invariants(stairs)
     assert len(stairs.segments) == stairs.dimension == n
     assert [s.start for s in stairs.segments] == list(range(n, 0, -1))
 

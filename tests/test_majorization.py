@@ -11,7 +11,7 @@ from loccxform import (
     tensor,
     weak_submajorizes,
 )
-from loccxform.majorization import pad_pair
+from loccxform.spectra import pad_pair, pad_to_common
 
 BELL = SchmidtSpectrum((0.5, 0.5))
 PRODUCT = SchmidtSpectrum((1.0, 0.0))
@@ -107,9 +107,9 @@ def test_weak_submajorization_supremum_matches_conclusive_probability():
         return bool(np.all(ta >= p * tb))
 
     def sup_p(alpha, beta):
-        n = max(len(alpha), len(beta))
-        ta = np.cumsum(alpha.padded(n).as_array()[::-1])[::-1]
-        tb = np.cumsum(beta.padded(n).as_array()[::-1])[::-1]
+        a, b = pad_to_common(alpha, beta)
+        ta = np.cumsum(a.as_array()[::-1])[::-1]
+        tb = np.cumsum(b.as_array()[::-1])[::-1]
         if strict_holds(ta, tb, 1.0):
             return 1.0
         lo, hi = 0.0, 1.0

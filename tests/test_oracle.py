@@ -14,7 +14,6 @@ from loccxform import (
     aligned_fidelity,
     ensemble_is_feasible,
     grid_max_fidelity,
-    haar_random_unitary,
     optimal_fidelity,
     oracle,
     sample_feasible_ensembles,
@@ -100,8 +99,8 @@ def test_unitary_pair_validation():
 def test_haar_random_unitary_is_unitary():
     rng = np.random.default_rng(2)
     for n in (2, 3, 5):
-        u = haar_random_unitary(n, rng)
-        assert np.allclose(u.conj().T @ u, np.eye(n), atol=1e-10)
+        for u in oracle._batch_random_unitaries(4, n, rng):
+            assert np.allclose(u.conj().T @ u, np.eye(n), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +239,30 @@ def test_infeasible_ensemble_detected():
     # a pure balanced branch would increase the bottom tail sum
     alpha = SchmidtSpectrum((0.8, 0.2))
     assert not ensemble_is_feasible(alpha, np.array([1.0]), [BELL.as_array()])
+
+
+def test_ensemble_with_fewer_branches_than_weights_is_rejected():
+    with pytest.raises(ValueError, match=r"weights of shape \(2,\) for 1 branches"):
+        ensemble_is_feasible(SchmidtSpectrum((0.8, 0.2)), np.array([0.5, 0.5]), [np.array([1.0, 0.0])])
+
+
+@pytest.mark.parametrize("weights", [[0.7, 0.7], [0.3, 0.3], [1.5, -0.5], [float("nan"), 1.0]])
+def test_ensemble_weights_must_be_a_probability_vector(weights):
+    branches = [np.array([1.0, 0.0]), BELL.as_array()]
+    with pytest.raises(ValueError, match="probability vector"):
+        ensemble_is_feasible(SchmidtSpectrum((0.8, 0.2)), np.array(weights), branches)
+
+
+def test_ensemble_branches_must_be_spectra():
+    with pytest.raises(ValueError, match="not normalized"):
+        ensemble_is_feasible(SchmidtSpectrum((0.8, 0.2)), np.array([1.0]), [np.array([0.5, 0.4])])
+
+
+def test_ensemble_branches_of_unequal_lengths_are_padded():
+    alpha = SchmidtSpectrum((0.5, 0.3, 0.2))
+    branches = [np.array([1.0]), np.array([0.5, 0.3, 0.2, 0.0])]
+    assert ensemble_is_feasible(alpha, np.array([0.25, 0.75]), branches)
+    assert not ensemble_is_feasible(alpha, np.array([1.0]), [SchmidtSpectrum.uniform(4).as_array()])
 
 
 def test_ensembles_reproducible():

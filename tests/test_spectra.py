@@ -11,14 +11,14 @@ from loccxform import (
     BipartiteState,
     SchmidtSpectrum,
     aligned_fidelity,
-    haar_random_unitary,
     pad_to_common,
     parse_state_dict,
     schmidt_spectrum,
     tensor,
     trace_distance_from_fidelity,
 )
-from loccxform.majorization import pad_pair
+from loccxform.oracle import _batch_random_unitaries
+from loccxform.spectra import pad_pair
 
 
 def spectra_strategy(max_n=5):
@@ -86,11 +86,10 @@ def test_spectrum_rejects_empty():
 def test_uniform_and_padding():
     u = SchmidtSpectrum.uniform(4)
     assert u.probs == (0.25, 0.25, 0.25, 0.25)
-    p = SchmidtSpectrum((1.0,)).padded(3)
-    assert p.probs == (1.0, 0.0, 0.0)
-    assert p.nonzero_count == 1
-    with pytest.raises(ValueError):
-        SchmidtSpectrum((0.5, 0.5)).padded(1)
+    pair = pad_pair(SchmidtSpectrum((1.0,)), u, size=5)
+    assert pair.a.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert pair.b.tolist() == [0.25, 0.25, 0.25, 0.25, 0.0]
+    assert SchmidtSpectrum((1.0, 0.0, 0.0)).nonzero_count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +106,7 @@ def test_schmidt_spectrum_rotated_bell():
     # singular values are invariant under local basis changes
     rng = np.random.default_rng(7)
     bell = np.diag([math.sqrt(0.5), math.sqrt(0.5)])
-    u, v = haar_random_unitary(2, rng), haar_random_unitary(2, rng)
+    u, v = _batch_random_unitaries(1, 2, rng)[0], _batch_random_unitaries(1, 2, rng)[0]
     state = BipartiteState(u @ bell @ v)
     assert schmidt_spectrum(state).probs == pytest.approx((0.5, 0.5), abs=1e-12)
 
@@ -117,7 +116,7 @@ def test_schmidt_spectrum_constructed_singular_values():
     rng = np.random.default_rng(11)
     target = (0.9, 0.1)
     core = np.diag(np.sqrt(np.array(target)))
-    u, v = haar_random_unitary(2, rng), haar_random_unitary(2, rng)
+    u, v = _batch_random_unitaries(1, 2, rng)[0], _batch_random_unitaries(1, 2, rng)[0]
     state = BipartiteState(u @ core @ v)
     assert schmidt_spectrum(state).probs == pytest.approx(target, abs=1e-12)
 
@@ -128,7 +127,7 @@ def test_schmidt_spectrum_invariance_many_rotations():
         n = int(rng.integers(2, 4))
         state = random_state(rng, n)
         reference = schmidt_spectrum(state).probs
-        u, v = haar_random_unitary(n, rng), haar_random_unitary(n, rng)
+        u, v = _batch_random_unitaries(1, n, rng)[0], _batch_random_unitaries(1, n, rng)[0]
         rotated = BipartiteState(u @ state.amplitudes @ v)
         assert schmidt_spectrum(rotated).probs == pytest.approx(reference, abs=1e-10)
 
