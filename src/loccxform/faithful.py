@@ -19,12 +19,56 @@ point leaves it ambiguous:
   equal, and the edge runs to the highest such point, i.e. the smaller level;
 * zero mass: levels that add no target mass (beta's zero tail) are skipped,
   since a block starting there would carry no target mass.
+
+With these rules the hull is the scan "from the last vertex V, take the
+farthest point whose slope from V is at most the smallest slope from V plus
+``RATIO_TIE_TOL``", with slopes and that sum computed in floating point.
+
+Concavity pre-pass.  A chain of at least ``_PREPASS_MIN_POINTS`` points is
+thinned with whole-array operations before the pass.  Take a point P with
+neighbours L before it and R after it in the current list, with p = x_P -
+x_L, q = x_R - x_P, t = slope(L, P), o = slope(P, R) as computed, and the
+band e = 2 * RATIO_TIE_TOL + 64 eps * (t + o).  Each round drops at once
+every P with t - o > e * (1 + x_L / p + x_R / q), and the pass then runs on
+the survivors.
+
+Why no vertex is dropped.  Follow the scan from the origin, which is never
+dropped.  Let V be its current vertex, a survivor, and P a point dropped in
+some round with neighbours L and R in that round; V lies at or before L.
+Suppose R's slope from V exceeds P's, c, and (when V is not L) c is at most
+L's slope a from V plus ``RATIO_TIE_TOL``.  In exact arithmetic, with
+h = x_L - x_V <= x_L, c is the average of a and t with weights h and p, and
+R's slope is the average of c and o with weights h + p and q.  So o > c and
+p (t - c) = h (c - a), which give t - o < t - c <= (x_L / p) RATIO_TIE_TOL;
+for V = L, o > c = t outright.  Rounding: a computed slope is within 2 eps
+of the exact one, relatively (plus an underflow term far below the
+tolerance).  Carried through both suppositions it adds under
+18 eps * o * (x_L / p + x_R / q) + 2 eps * (t + o) when q >= 8 eps x_R, and
+when q is smaller the band exceeds 8 t.  The band covers all of this with
+room to spare, so for a dropped P the suppositions fail: either P is outside
+the ties from V and above L's slope, or R lies farther with a slope at most
+P's.  Hence neither the scan's pick from V (the farthest point within the
+ties) nor the farthest point of smallest slope is a dropped point, since its
+R would qualify too and lie farther.  The smallest slope and the pick are
+then the same among the survivors, the next vertex is a survivor, and the
+pass over the survivors gives the same vertices, so the same blocks bit for
+bit.  A slope that overflows to inf makes the band inf, and P is kept.
+
+Convex short-circuit.  If a round drops nothing and every P with neighbours
+L and R has o - t > e * (1 + p / q), the chain is convex with room.  In exact
+arithmetic slope(L, Q) >= slope(L, R) for every Q beyond P, and
+slope(L, R) - t = (o - t) q / (p + q) > e, which exceeds ``RATIO_TIE_TOL``
+plus the rounding in the scan's comparison.  So from each point the next one
+is the only point within the ties: every point is a vertex, and no Python
+loop runs.  The one-block-per-level worst case (cubic decay into uniform,
+n = 4096) takes this path after one round.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +82,12 @@ from .spectra import (
     pad_pair,
     trace_distance_from_fidelity,
 )
+
+# Chains with fewer points skip the pre-pass, and its rounds stop below it:
+# there a round costs more than the hull loop it saves (crossover in CHANGES.md).
+_PREPASS_MIN_POINTS = 64
+# Rounding slack of the pre-pass band, relative to the slopes (see above).
+_SLOPE_SLACK = 64 * np.finfo(float).eps
 
 
 class Segment(NamedTuple):
@@ -55,17 +105,28 @@ class Segment(NamedTuple):
     target_mass: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Staircase:
-    """Blocks of the optimal-conversion construction, in build order.
+    """Blocks of the optimal-conversion construction, bottom block first.
 
-    Block starts decrease strictly down to 1; ratios increase (within
-    ``RATIO_TIE_TOL``); the masses of either kind telescope to 1.  The hull
-    pass guarantees this; the constructor does not check it.
+    Read-only arrays with one entry per block: ``starts`` decrease strictly
+    down to 1; ``ratios`` increase (within ``RATIO_TIE_TOL``);
+    ``source_mass`` and ``target_mass`` each telescope to 1.  The hull pass
+    guarantees this; the constructor does not check it.  Staircases compare
+    by identity; compare ``segments`` for equal blocks.
     """
 
-    segments: tuple[Segment, ...]
+    starts: np.ndarray
+    ratios: np.ndarray
+    source_mass: np.ndarray
+    target_mass: np.ndarray
     dimension: int
+
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        """The blocks as ``Segment`` tuples, in the same order."""
+        columns = (self.starts, self.ratios, self.source_mass, self.target_mass)
+        return tuple(map(Segment, *(column.tolist() for column in columns)))
 
 
 @dataclass(frozen=True)
@@ -80,20 +141,47 @@ class TransformReport:
     staircase: Staircase
 
 
-def _hull_segments(ta: list[float], tb: list[float], n: int) -> tuple[Segment, ...]:
-    """Blocks of the lower hull of n levels, bottom block first.
+def _prune(points: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Indices of the points the pre-pass keeps, and whether all are vertices.
 
-    ``ta``/``tb`` hold the tail sums of the levels 1..m where beta has mass;
-    the levels m+1..n add no target mass and are skipped.  The pass reproduces, on every prefix of the
-    levels, the scan "from the last block start, take the level of smallest
-    tail ratio, ties to the smaller level".  Each hull vertex keeps the
-    smallest slope seen from it plus ``RATIO_TIE_TOL`` as its tie cap; a new
-    point pops the vertex above while its slope from the vertex below is
-    within that vertex's cap.  Slopes grow along the hull, so a point that
-    misses one vertex's ties misses the ties of every vertex below it too.
+    ``points`` holds the chain bottom first, x in row 0 and y in row 1; the
+    ends are kept.  Rounds go on while ``_PREPASS_MIN_POINTS`` or more points
+    are left and the last round dropped at least an eighth of them; past
+    that, the next rounds save less hull-loop time than they cost.
     """
-    hull = [[n + 1, 0.0, 0.0, math.inf]]  # level, T_beta, T_alpha, tie cap
-    for level, x, y in zip(range(len(tb), 0, -1), reversed(tb), reversed(ta)):
+    keep = np.arange(points.shape[1])
+    x, y = points
+    # subnormal target tails overflow slopes to inf; such points are kept
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(keep) >= _PREPASS_MIN_POINTS:
+            dx = x[1:] - x[:-1]
+            slope = (y[1:] - y[:-1]) / dx
+            t, o, p, q = slope[:-1], slope[1:], dx[:-1], dx[1:]
+            band = 2.0 * RATIO_TIE_TOL + _SLOPE_SLACK * (t + o)
+            concave = t - o > band * (1.0 + x[:-2] / p + x[2:] / q)
+            dropped = int(np.count_nonzero(concave))
+            if not dropped:
+                return keep, bool(np.all(o - t > band * (1.0 + p / q)))
+            rest = np.flatnonzero(np.concatenate(([True], ~concave, [True])))
+            keep, x, y = keep.take(rest), x.take(rest), y.take(rest)
+            if 8 * dropped < len(keep) + dropped:
+                break
+    return keep, False
+
+
+def _hull_vertices(xs: list[float], ys: list[float]) -> list[int]:
+    """Indices of the lower hull's vertices among the points, bottom first.
+
+    The pass reproduces, on every prefix of the points, the scan "from the
+    last vertex, take the point of smallest slope, ties to the farther
+    point".  Each hull vertex keeps the smallest slope seen from it plus
+    ``RATIO_TIE_TOL`` as its tie cap; a new point pops the vertex above while
+    its slope from the vertex below is within that vertex's cap.  Slopes grow
+    along the hull, so a point that misses one vertex's ties misses the ties
+    of every vertex below it too.
+    """
+    hull = [[0, xs[0], ys[0], math.inf]]  # index, x, y, tie cap
+    for i, x, y in zip(range(1, len(xs)), xs[1:], ys[1:]):
         top = hull[-1]
         slope = (y - top[2]) / (x - top[1])
         while len(hull) > 1:
@@ -104,30 +192,50 @@ def _hull_segments(ta: list[float], tb: list[float], n: int) -> tuple[Segment, .
             hull.pop()
             top, slope = below, from_below
         top[3] = min(top[3], slope + RATIO_TIE_TOL)
-        hull.append([level, x, y, math.inf])
-    segments = []
-    for (_, x0, y0, _), (level, x, y, _) in zip(hull, hull[1:]):
-        source, target = y - y0, x - x0
-        segments.append(Segment(level, source / target, source, target))
-    return tuple(segments)
+        hull.append([i, x, y, math.inf])
+    return [vertex[0] for vertex in hull]
 
 
 def _build(pair: PaddedPair) -> Staircase:
-    b_count = int(np.count_nonzero(pair.b))
-    if b_count == 0:
+    """Blocks of the lower hull of the tail-sum points.
+
+    ``ta``/``tb`` give the points of the levels 1..m where beta has mass; the
+    levels m+1..n add no target mass and are skipped, so the chain runs from
+    the origin (level n+1) through levels m..1.
+    """
+    m = int(np.count_nonzero(pair.b))
+    if m == 0:
         raise ValueError("target spectrum is all zero")
-    n = max(int(np.count_nonzero(pair.a)), b_count)
-    segments = _hull_segments(pair.ta[:b_count].tolist(), pair.tb[:b_count].tolist(), n)
-    return Staircase(segments, n)
+    n = max(int(np.count_nonzero(pair.a)), m)
+    # the chain bottom first: rows T_beta, T_alpha; the origin, then levels m..1
+    points = np.zeros((2, m + 1))
+    points[0, 1:] = pair.tb[m - 1 :: -1]
+    points[1, 1:] = pair.ta[m - 1 :: -1]
+    if m + 1 < _PREPASS_MIN_POINTS:
+        keep = _hull_vertices(*points.tolist())
+    else:
+        keep, convex = _prune(points)
+        if not convex:
+            keep = keep[_hull_vertices(*points.take(keep, axis=1).tolist())]
+    hull = points.take(keep, axis=1)
+    masses = hull[:, 1:] - hull[:, :-1]
+    starts, ratios = np.subtract(m + 1, keep[1:]), masses[1] / masses[0]
+    for column in (starts, ratios, masses):
+        column.setflags(write=False)
+    target, source = masses
+    return Staircase(starts, ratios, source, target, n)
 
 
 def _rescaled_target(staircase: Staircase, b: np.ndarray) -> SchmidtSpectrum:
     """beta rescaled block by block; levels past the staircase stay zero."""
     n = staircase.dimension
-    starts, ratios, _, _ = zip(*reversed(staircase.segments))
-    lengths = [end - start for start, end in zip(starts, starts[1:] + (n + 1,))]
+    starts = staircase.starts
+    lengths = np.empty_like(starts)  # block sizes, bottom block first
+    lengths[0] = n + 1
+    lengths[1:] = starts[:-1]
+    lengths -= starts
     gamma = np.zeros(len(b))
-    gamma[:n] = np.repeat(ratios, lengths) * b[:n]
+    gamma[:n] = np.repeat(staircase.ratios[::-1], lengths[::-1]) * b[:n]
     return SchmidtSpectrum(tuple(gamma.tolist()))
 
 
@@ -161,7 +269,7 @@ def optimal_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> Transform
     """
     pair = pad_pair(alpha, beta)
     staircase = _build(pair)
-    amp = math.fsum(math.sqrt(seg.source_mass * seg.target_mass) for seg in staircase.segments)
+    amp = math.fsum(np.sqrt(staircase.source_mass * staircase.target_mass).tolist())
     f_opt = min(1.0, amp * amp)
     if 1.0 - f_opt < FIDELITY_SNAP:
         f_opt = 1.0

@@ -235,9 +235,30 @@ def test_verify_passes_and_reports(capsys):
     assert code == 0
     checks = json.loads(out)
     assert len(checks) == 3
+    keys = {"claim", "theorem_value", "oracle_value", "gap", "pass"}
+    assert [set(check) for check in checks] == [keys | {"grid_step"}, keys, keys]
+    assert checks[0]["grid_step"] == 0.01
     for check in checks:
-        assert {"claim", "theorem_value", "oracle_value", "gap", "pass"} == set(check)
         assert check["pass"] is True
+
+
+def test_verify_holds_the_grid_to_the_step_it_searched(capsys):
+    # 1/step is not an integer: the grid is laid at 1/round(1/step).  Uniform
+    # into uniform on 12 levels has f_opt = 1; at step 0.5 the grid's best is
+    # (1/2, 1/2, 0, ...) with fidelity 1/6, a gap of 5/6.  That is within
+    # 2 * 0.5, the bound of the step searched, but above 2 * 0.4.
+    uniform = json.dumps({"schmidt": [1 / 12] * 12})
+    argv = ["verify", uniform, uniform, "--seed", "0", "--trials", "50", "--ensembles", "20"]
+    code, out, _ = run(capsys, *argv, "--grid-step", "0.4", "--format", "json")
+    grid = json.loads(out)[0]
+    assert grid["grid_step"] == 0.5
+    assert grid["gap"] == pytest.approx(5 / 6, abs=1e-12)
+    assert grid["pass"] is True
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--grid-step", "0.7")
+    assert out.splitlines()[0].startswith("[PASS] grid search")
+    assert out.splitlines()[0].endswith(" step=1")
+    assert code == 0
 
 
 def test_verify_pads_unequal_lengths(capsys):

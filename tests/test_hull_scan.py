@@ -3,11 +3,12 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loccxform import SchmidtSpectrum, Staircase, build_staircase, optimal_fidelity
-from loccxform.spectra import RATIO_TIE_TOL
+from loccxform import SchmidtSpectrum, Staircase, build_staircase, faithful, optimal_fidelity
+from loccxform.spectra import RATIO_TIE_TOL, pad_pair
 from scan_reference import reference_report
 
 SUBNORMAL = 5e-324
@@ -19,15 +20,18 @@ def bits(values) -> bytes:
 
 def assert_staircase_invariants(stairs: Staircase) -> None:
     """What every staircase the hull pass builds must satisfy."""
-    assert stairs.segments, "staircase needs at least one segment"
-    starts, ratios, source, target = zip(*stairs.segments)
+    starts, ratios = stairs.starts, stairs.ratios
+    source, target = stairs.source_mass, stairs.target_mass
+    assert starts.size, "staircase needs at least one segment"
+    assert ratios.shape == source.shape == target.shape == starts.shape, "columns differ in length"
+    assert not any(col.flags.writeable for col in (starts, ratios, source, target)), "columns must be read-only"
     assert starts[-1] == 1, "last segment must start at level 1"
     assert starts[0] <= stairs.dimension, "first segment exceeds the dimension"
-    assert all(a > b for a, b in zip(starts, starts[1:])), "segment starts must decrease strictly"
-    assert all(r2 > r1 - RATIO_TIE_TOL for r1, r2 in zip(ratios, ratios[1:])), "segment ratios must increase"
-    assert min(source) >= -RATIO_TIE_TOL and min(target) > 0.0, "segment masses out of range"
-    assert abs(math.fsum(source) - 1.0) <= 1e-9, "source masses must telescope to 1"
-    assert abs(math.fsum(target) - 1.0) <= 1e-9, "target masses must telescope to 1"
+    assert np.all(starts[:-1] > starts[1:]), "segment starts must decrease strictly"
+    assert np.all(ratios[1:] > ratios[:-1] - RATIO_TIE_TOL), "segment ratios must increase"
+    assert source.min() >= -RATIO_TIE_TOL and target.min() > 0.0, "segment masses out of range"
+    assert abs(math.fsum(source.tolist()) - 1.0) <= 1e-9, "source masses must telescope to 1"
+    assert abs(math.fsum(target.tolist()) - 1.0) <= 1e-9, "target masses must telescope to 1"
 
 
 @st.composite
@@ -74,10 +78,46 @@ def pairs(draw) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:
     return spectrum(a), spectrum(b)
 
 
-@given(pairs())
-@settings(max_examples=400, deadline=None)
-def test_hull_scan_reproduces_reference_report_bitwise(pair):
-    alpha, beta = pair
+@st.composite
+def large_raw_spectra(draw) -> list[float]:
+    """Unnormalized coefficients of a few hundred to 1000 levels, long enough
+    for the pre-pass: the kinds of ``raw_spectra``, drawn with numpy from a
+    drawn seed, plus power-law decay (convex chains against a uniform target)."""
+    n = draw(st.integers(200, 1000))
+    kind = draw(st.sampled_from(["random", "rounded", "near_degenerate", "subnormal_tail", "power"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        vals = rng.uniform(1e-3, 1.0, n)
+    elif kind == "rounded":
+        units = draw(st.sampled_from([100, 1000]))
+        cuts = np.sort(rng.integers(0, units + 1, n - 1))
+        vals = np.diff(np.concatenate(([0], cuts, [units]))) / units
+    elif kind == "near_degenerate":
+        vals = 1.0 + draw(st.floats(1e-16, 1e-10)) * rng.integers(-3, 4, n)
+    elif kind == "subnormal_tail":
+        tail = draw(st.integers(1, 100))
+        vals = np.concatenate((rng.uniform(1e-3, 1.0, n - tail), rng.integers(1, 1001, tail) * SUBNORMAL))
+    else:
+        vals = (np.arange(1, n + 1) + draw(st.floats(0.5, 1.5))) ** -draw(st.floats(2.0, 4.0))
+    return vals.tolist() + [0.0] * draw(st.integers(0, 3))
+
+
+@st.composite
+def large_pairs(draw) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:
+    a = draw(large_raw_spectra())
+    target = draw(st.sampled_from(["independent", "perturbed", "uniform"]))
+    if target == "independent":
+        b = draw(large_raw_spectra())
+    elif target == "perturbed":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        eps = 10.0 ** draw(st.floats(-13.0, -10.0))
+        b = (np.array(a) * (1.0 + eps * rng.integers(-3, 4, len(a)))).tolist()
+    else:
+        b = [1.0] * len(a)
+    return spectrum(a), spectrum(b)
+
+
+def assert_matches_reference(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> None:
     want = reference_report(alpha, beta)
     got = optimal_fidelity(alpha, beta)
     assert_staircase_invariants(got.staircase)
@@ -91,14 +131,69 @@ def test_hull_scan_reproduces_reference_report_bitwise(pair):
     assert got.deterministic == want["deterministic"]
 
 
-def test_worst_case_has_one_block_per_level():
+@given(pairs())
+@settings(max_examples=400, deadline=None)
+def test_hull_scan_reproduces_reference_report_bitwise(pair):
+    assert_matches_reference(*pair)
+
+
+@given(pairs())
+@settings(max_examples=400, deadline=None)
+def test_prepass_on_every_pair_reproduces_reference_report_bitwise(pair):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(faithful, "_PREPASS_MIN_POINTS", 0)
+        assert_matches_reference(*pair)
+
+
+@given(large_pairs())
+@settings(max_examples=60, deadline=None)
+def test_large_pairs_reproduce_reference_report_bitwise(pair):
+    assert_matches_reference(*pair)
+
+
+def test_prepass_keeps_vertices_of_near_tied_pairs():
+    # tail ratios within a few 1e-12 of each other: a pre-pass whose band
+    # lacks its x_L / p factor drops vertices of the tie-tolerant hull here
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        beta = rng.dirichlet(np.ones(200))
+        alpha = beta * (1.0 + 3e-12 * rng.integers(-3, 4, 200))
+        assert_matches_reference(spectrum(alpha.tolist()), spectrum(beta.tolist()))
+
+
+def test_worst_case_has_one_block_per_level(monkeypatch):
+    # the convex short-circuit settles it without the per-level hull loop
+    def hull_loop(xs, ys):
+        raise AssertionError("the convex chain entered the per-level hull loop")
+
+    monkeypatch.setattr(faithful, "_hull_vertices", hull_loop)
     n = 4096
     source = (np.arange(1, n + 1) + 1.0) ** -3.0
     alpha = SchmidtSpectrum(tuple((source / source.sum()).tolist()))
-    stairs = build_staircase(alpha, SchmidtSpectrum.uniform(n))
+    stairs = optimal_fidelity(alpha, SchmidtSpectrum.uniform(n)).staircase
     assert_staircase_invariants(stairs)
     assert len(stairs.segments) == stairs.dimension == n
     assert [s.start for s in stairs.segments] == list(range(n, 0, -1))
+
+
+def test_prepass_keeps_every_block_start(monkeypatch):
+    rng = np.random.default_rng(7)
+    n = 4096
+    for _ in range(3):
+        alpha, beta = (spectrum(rng.dirichlet(np.ones(n)).tolist()) for _ in range(2))
+        pair = pad_pair(alpha, beta)
+        points = np.zeros((2, n + 1))
+        points[0, 1:] = pair.tb[::-1]
+        points[1, 1:] = pair.ta[::-1]
+        keep, convex = faithful._prune(points)
+        stairs = build_staircase(alpha, beta)
+        with monkeypatch.context() as patch:
+            patch.setattr(faithful, "_PREPASS_MIN_POINTS", n + 2)
+            full = build_staircase(alpha, beta)
+        assert not convex
+        assert set(full.starts.tolist()) <= set((n + 1 - keep).tolist())
+        assert len(keep) < (n + 1) // 4, "the pre-pass should drop most points of a random pair"
+        assert bits(stairs.segments) == bits(full.segments)
 
 
 def test_report_builds_no_spectrum_besides_xi(monkeypatch):
