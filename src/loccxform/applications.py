@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .faithful import optimal_fidelity
 from .spectra import SchmidtSpectrum, tensor, trace_distance_from_fidelity
 
@@ -42,7 +44,7 @@ def concentration_fidelity(alpha: SchmidtSpectrum, n: int | None = None) -> floa
     ``optimal_fidelity(alpha, uniform_n).f_opt``.
     """
     n = _resolve_dimension(alpha, n)
-    amp = math.fsum(math.sqrt(p) for p in alpha.probs)
+    amp = math.fsum(np.sqrt(alpha.probs).tolist())
     return min(1.0, amp * amp / n)
 
 
@@ -71,8 +73,9 @@ def dilution_fidelity(m: int, beta: SchmidtSpectrum) -> tuple[float, SchmidtSpec
         raise ValueError(f"m must be positive, got {m}")
     if m >= beta.nonzero_count:
         return 1.0, beta
-    head = math.fsum(beta.probs[:m])
-    xi = tuple(p / head for p in beta.probs[:m]) + (0.0,) * (len(beta) - m)
+    head = math.fsum(beta.probs[:m].tolist())
+    xi = beta.probs / head
+    xi[m:] = 0.0
     return head, SchmidtSpectrum(xi)
 
 

@@ -79,7 +79,7 @@ def parse_state_spec(text: str) -> SchmidtSpectrum:
 def report_to_dict(report: TransformReport) -> dict:
     return {
         "f_opt": report.f_opt,
-        "xi": list(report.xi.probs),
+        "xi": report.xi.probs.tolist(),
         "trace_distance": report.trace_distance,
         "p_conclusive": report.conclusive_p,
         "deterministic": report.deterministic,
@@ -141,7 +141,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_schmidt(args: argparse.Namespace) -> int:
     spectrum = parse_state_spec(args.state)
-    _print_payload({"schmidt": list(spectrum.probs)}, args.format)
+    _print_payload({"schmidt": spectrum.probs.tolist()}, args.format)
     return EXIT_OK
 
 
@@ -160,7 +160,7 @@ def _cmd_teleport(args: argparse.Namespace) -> int:
 def _cmd_dilute(args: argparse.Namespace) -> int:
     beta = parse_state_spec(args.phi)
     fidelity, xi = dilution_fidelity(args.m, beta)
-    _print_payload({"f_opt": fidelity, "xi": list(xi.probs)}, args.format)
+    _print_payload({"f_opt": fidelity, "xi": xi.probs.tolist()}, args.format)
     return EXIT_OK
 
 

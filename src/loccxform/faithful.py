@@ -236,7 +236,7 @@ def _rescaled_target(staircase: Staircase, b: np.ndarray) -> SchmidtSpectrum:
     lengths -= starts
     gamma = np.zeros(len(b))
     gamma[:n] = np.repeat(staircase.ratios[::-1], lengths[::-1]) * b[:n]
-    return SchmidtSpectrum(tuple(gamma.tolist()))
+    return SchmidtSpectrum(gamma)
 
 
 def build_staircase(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> Staircase:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import os
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,34 +85,25 @@ def _batch_random_unitaries(count: int, n: int, rng: np.random.Generator) -> np.
 # Grid search over spectra dominating the source
 # ---------------------------------------------------------------------------
 
-# Least recently used grids are evicted past this many (total, parts) keys.
-_GRID_CACHE_SIZE = 8
-_grid_cache: OrderedDict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
+def _grid_size(total: int, parts: int) -> int:
+    """Partitions of ``total`` into at most ``parts`` parts: the size of ``_grid``."""
+    counts = [1] + [0] * total  # counts[t]: partitions of t into parts of size <= k
+    for k in range(1, min(parts, total) + 1):
+        for t in range(k, total + 1):
+            counts[t] += counts[t - k]
+    return counts[total]
 
 
-def _sorted_grid_points(total: int, parts: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=8)
+def _grid(total: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
     """Nonincreasing integer compositions of ``total`` into ``parts`` slots,
-    with their cumulative sums; the last ``_GRID_CACHE_SIZE`` keys are cached."""
-    key = (total, parts)
-    cached = _grid_cache.get(key)
-    if cached is not None:
-        if len(cached[0]) > budget:
-            raise GridBudgetError(
-                f"{len(cached[0])} grid points exceed the budget of {budget}"
-            )
-        _grid_cache.move_to_end(key)
-        return cached
-
+    with their cumulative sums, as read-only arrays."""
     rows: list[list[int]] = []
 
     def extend(prefix: list[int], remaining: int, cap: int, slots: int) -> None:
         if slots == 1:
             if remaining <= cap:
                 rows.append(prefix + [remaining])
-                if len(rows) > budget:
-                    raise GridBudgetError(
-                        f"grid enumeration exceeded the budget of {budget} points"
-                    )
             return
         low = -(-remaining // slots)  # ceil: later slots may not exceed this one
         for v in range(min(cap, remaining), low - 1, -1):
@@ -123,10 +114,15 @@ def _sorted_grid_points(total: int, parts: int, budget: int) -> tuple[np.ndarray
     cum = np.cumsum(pts, axis=1)
     pts.setflags(write=False)
     cum.setflags(write=False)
-    _grid_cache[key] = (pts, cum)
-    if len(_grid_cache) > _GRID_CACHE_SIZE:
-        _grid_cache.popitem(last=False)
     return pts, cum
+
+
+def _sorted_grid_points(total: int, parts: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_grid(total, parts)``, unless its points would exceed ``budget``."""
+    size = _grid_size(total, parts)
+    if size > budget:
+        raise GridBudgetError(f"{size} grid points exceed the budget of {budget}")
+    return _grid(total, parts)
 
 
 def _exact_ceil_thresholds(heads: np.ndarray, resolution: int) -> np.ndarray:
@@ -246,7 +242,7 @@ def ensemble_is_feasible(
     if abs(math.fsum(weights) - 1.0) > NORMALIZATION_ACCEPT or not np.all(weights >= 0.0):
         raise ValueError(f"weights must be a probability vector: {weights.tolist()!r}")
     n = max(len(alpha), *map(len, branches))
-    pairs = [pad_pair(alpha, SchmidtSpectrum(tuple(g)), n) for g in branches]
+    pairs = [pad_pair(alpha, SchmidtSpectrum(g), n) for g in branches]
     gs = np.stack([pair.b for pair in pairs])[None]
     return bool(_feasible(_tail_sums(pairs[0].a), weights[None] / weights.sum(), gs)[0])
 

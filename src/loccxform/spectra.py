@@ -9,7 +9,6 @@ spectra only.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -34,32 +33,33 @@ SAMPLED_OVERLAP_TOL = 1e-9
 ORACLE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtSpectrum:
     """Squared Schmidt coefficients: nonincreasing, nonnegative, summing to 1.
 
-    Unsorted input is sorted (the ``resorted`` flag records that this
-    happened); a sum drifting from 1 by at most ``NORMALIZATION_ACCEPT`` is
-    renormalized, anything worse raises ``ValueError``.
+    ``probs`` is a read-only float64 copy of the input.  Unsorted input is
+    sorted (the ``resorted`` flag records that this happened); a sum drifting
+    from 1 by at most ``NORMALIZATION_ACCEPT`` is renormalized, anything worse
+    raises ``ValueError``.  Spectra compare and hash by their coefficients.
     """
 
-    probs: tuple[float, ...]
-    resorted: bool = field(init=False, compare=False)
+    probs: np.ndarray
+    resorted: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        vals = [float(p) for p in self.probs]
-        if not vals:
-            raise ValueError("spectrum must have at least one entry")
-        low = min(vals)
+        vals = np.array(self.probs, dtype=float)
+        if vals.ndim != 1 or not vals.size:
+            raise ValueError(f"spectrum must be a non-empty vector, got shape {vals.shape}")
+        low = vals[vals.argmin()]  # min's reduction setup costs ~2 us at small n; argmin's does not
         if low < 0.0:
             if low < -NORMALIZATION_ATOL:
                 raise ValueError(f"negative probability in spectrum: {low}")
-            vals = [max(p, 0.0) for p in vals]
-        resorted = any(map(operator.lt, vals, vals[1:]))
+            vals[vals < 0.0] = 0.0
+        resorted = bool(np.count_nonzero(vals[:-1] < vals[1:]))
         if resorted:
-            vals.sort(reverse=True)
+            vals[::-1].sort(kind="stable")  # equal entries (0.0, -0.0) keep their order
         try:
-            total = math.fsum(vals)
+            total = math.fsum(vals.tolist())
         except OverflowError:  # finite entries whose sum leaves the float range
             total = math.inf
         # NaN fails every comparison above; the sum is where it shows.
@@ -68,23 +68,33 @@ class SchmidtSpectrum:
         if abs(total - 1.0) > NORMALIZATION_ACCEPT:
             raise ValueError(f"spectrum not normalized: sum = {total!r}")
         if abs(total - 1.0) > NORMALIZATION_ATOL:
-            vals = [p / total for p in vals]
-        object.__setattr__(self, "probs", tuple(vals))
+            vals /= total
+        vals.setflags(write=False)
+        object.__setattr__(self, "probs", vals)
         object.__setattr__(self, "resorted", resorted)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SchmidtSpectrum:
+            return NotImplemented
+        return np.array_equal(self.probs, other.probs)
+
+    def __hash__(self) -> int:
+        return hash((self.probs + 0.0).tobytes())  # -0.0 == 0.0, and -0.0 + 0.0 is 0.0
 
     @classmethod
     def uniform(cls, n: int) -> "SchmidtSpectrum":
         """Maximally entangled spectrum with n equal coefficients."""
         if n < 1:
             raise ValueError("dimension must be positive")
-        return cls(tuple([1.0 / n] * n))
+        return cls(np.full(n, 1.0 / n))
 
     @property
     def nonzero_count(self) -> int:
-        return sum(1 for p in self.probs if p > 0.0)
+        return int(np.count_nonzero(self.probs))
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.probs, dtype=float)
+        """A writable copy of ``probs``."""
+        return self.probs.copy()
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -123,7 +133,7 @@ def schmidt_spectrum(state: BipartiteState) -> SchmidtSpectrum:
     sv = np.linalg.svd(state.amplitudes, compute_uv=False)
     probs = sv.astype(float) ** 2
     probs /= probs.sum()
-    return SchmidtSpectrum(tuple(probs))
+    return SchmidtSpectrum(probs)
 
 
 class PaddedPair(NamedTuple):
@@ -154,7 +164,7 @@ def pad_pair(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, size: int = 0) -> Pa
 def pad_to_common(a: SchmidtSpectrum, b: SchmidtSpectrum) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:
     """Zero-pad the shorter spectrum so both have the same length."""
     pair = pad_pair(a, b)
-    return SchmidtSpectrum(tuple(pair.a.tolist())), SchmidtSpectrum(tuple(pair.b.tolist()))
+    return SchmidtSpectrum(pair.a), SchmidtSpectrum(pair.b)
 
 
 def aligned_fidelity(tau: SchmidtSpectrum, omega: SchmidtSpectrum) -> float:
@@ -170,14 +180,14 @@ def aligned_fidelity(tau: SchmidtSpectrum, omega: SchmidtSpectrum) -> float:
 
 def tensor(a: SchmidtSpectrum, b: SchmidtSpectrum) -> SchmidtSpectrum:
     """Spectrum of the composite state: all pairwise products, sorted."""
-    prod = np.outer(a.as_array(), b.as_array()).ravel()
+    prod = np.outer(a.probs, b.probs).ravel()
     prod[::-1].sort()
-    return SchmidtSpectrum(tuple(float(p) for p in prod))
+    return SchmidtSpectrum(prod)
 
 
 def trace_distance_from_fidelity(f: float) -> float:
     """Trace distance between pure states with overlap f: 2*sqrt(1-f)."""
-    if f < -NORMALIZATION_ATOL or f > 1.0 + NORMALIZATION_ATOL:
+    if not -NORMALIZATION_ATOL <= f <= 1.0 + NORMALIZATION_ATOL:  # NaN fails too
         raise ValueError(f"fidelity out of range [0, 1]: {f!r}")
     f = min(1.0, max(0.0, f))
     return 2.0 * math.sqrt(1.0 - f)
@@ -205,7 +215,7 @@ def parse_state_dict(obj: object) -> SchmidtSpectrum | BipartiteState:
         if not isinstance(probs, list) or not probs or not set(map(type, probs)) <= _JSON_NUMBERS:
             raise ValueError('"schmidt" must be a non-empty list of numbers')
         try:
-            return SchmidtSpectrum(tuple(probs))
+            return SchmidtSpectrum(probs)
         except OverflowError as exc:  # an integer literal past the float range
             raise ValueError(f'"schmidt" entry out of range: {exc}') from exc
     rows = obj["amplitudes"]

@@ -49,8 +49,10 @@ def reference_segments(ta: np.ndarray, tb: np.ndarray, n: int) -> list[tuple[int
 def reference_report(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> dict:
     """The fields of ``optimal_fidelity(alpha, beta)``, computed directly."""
     size = max(len(alpha), len(beta))
-    a = np.array(alpha.probs + (0.0,) * (size - len(alpha)))
-    b = np.array(beta.probs + (0.0,) * (size - len(beta)))
+    a = np.zeros(size)
+    b = np.zeros(size)
+    a[: len(alpha)] = alpha.probs
+    b[: len(beta)] = beta.probs
     n = max(int(np.sum(a > 0.0)), int(np.sum(b > 0.0)))
     ta = np.cumsum(a[:n][::-1])[::-1]
     tb = np.cumsum(b[:n][::-1])[::-1]

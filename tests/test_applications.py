@@ -93,7 +93,7 @@ def test_dilution_exact_when_source_is_large_enough():
     beta = SchmidtSpectrum((0.6, 0.3, 0.1))
     fidelity, xi = dilution_fidelity(3, beta)
     assert fidelity == 1.0
-    assert xi.probs == beta.probs
+    assert xi.probs.tolist() == beta.probs.tolist()
     fidelity, xi = dilution_fidelity(7, beta)
     assert fidelity == 1.0
 

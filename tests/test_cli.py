@@ -348,7 +348,7 @@ def test_emit_csv_single_row():
 
 def test_parse_state_spec_label(capsys):
     spectrum = parse_state_spec('{"schmidt":[0.2,0.8],"label":"psi"}')
-    assert spectrum.probs == (0.8, 0.2)
+    assert spectrum.probs.tolist() == [0.8, 0.2]
     assert capsys.readouterr().err == "warning: psi spectrum was not sorted; sorted it\n"
     parse_state_spec('{"schmidt":[0.5,0.5],"label":"bell"}')
     assert capsys.readouterr().err == ""

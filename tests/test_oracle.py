@@ -48,22 +48,31 @@ def test_grid_spec_validation():
 def test_grid_budget_error():
     with pytest.raises(GridBudgetError):
         grid_max_fidelity(BELL, BELL, GridSpec(2, 0.001, budget=10))
+    # the budget is held against the exact point count
+    for total, parts in [(1, 1), (7, 3), (50, 4), (100, 3), (12, 20)]:
+        points = len(oracle._sorted_grid_points(total, parts, 10**6)[0])
+        oracle._sorted_grid_points(total, parts, points)
+        with pytest.raises(GridBudgetError):
+            oracle._sorted_grid_points(total, parts, points - 1)
 
 
-def test_grid_cache_is_a_bounded_lru(monkeypatch):
-    monkeypatch.setattr(oracle, "_grid_cache", type(oracle._grid_cache)())
-    size = oracle._GRID_CACHE_SIZE
+def test_grid_cache_is_a_bounded_lru():
+    oracle._grid.cache_clear()
+    size = oracle._grid.cache_info().maxsize
     # the keys loccxform verify uses at n in {3, 4}, steps 0.01 and 0.02
     verify_keys = [(100, 3), (100, 4), (50, 3), (50, 4)]
     assert size >= len(verify_keys)
     first = {key: oracle._sorted_grid_points(*key, 10**6)[0] for key in verify_keys}
     assert all(oracle._sorted_grid_points(*key, 10**6)[0] is first[key] for key in verify_keys)
+    assert oracle._grid.cache_info().hits == len(verify_keys)
     for total in range(1, 3 * size):
         oracle._sorted_grid_points(total, 2, 10**6)
         oracle._sorted_grid_points(100, 3, 10**6)  # kept warm
-        assert len(oracle._grid_cache) <= size
+        assert oracle._grid.cache_info().currsize <= size
     assert oracle._sorted_grid_points(100, 3, 10**6)[0] is first[(100, 3)]
-    assert (100, 4) not in oracle._grid_cache
+    misses = oracle._grid.cache_info().misses
+    assert oracle._sorted_grid_points(100, 4, 10**6)[0] is not first[(100, 4)]
+    assert oracle._grid.cache_info().misses == misses + 1  # (100, 4) was evicted
     # the budget still applies to a cached grid
     with pytest.raises(GridBudgetError):
         oracle._sorted_grid_points(100, 3, 10)

@@ -40,13 +40,13 @@ def spectra_strategy(max_n=5):
 
 def test_spectrum_keeps_sorted_input_exactly():
     s = SchmidtSpectrum((0.5, 0.3, 0.2))
-    assert s.probs == (0.5, 0.3, 0.2)
+    assert s.probs.tolist() == [0.5, 0.3, 0.2]
     assert not s.resorted
 
 
 def test_spectrum_sorts_unsorted_input_and_flags_it():
     s = SchmidtSpectrum((0.2, 0.5, 0.3))
-    assert s.probs == (0.5, 0.3, 0.2)
+    assert s.probs.tolist() == [0.5, 0.3, 0.2]
     assert s.resorted
     # the flag reports a sort that happened; a caller cannot claim one
     with pytest.raises(TypeError):
@@ -69,13 +69,73 @@ def test_spectrum_rejects_negative_entries():
         SchmidtSpectrum((1.1, -0.1))
 
 
-@pytest.mark.parametrize(
-    "probs",
-    [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (0.5, 0.5, -math.inf), (1e308, 1e308)],
-)
+NON_FINITE = [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (0.5, 0.5, -math.inf), (1e308, 1e308)]
+
+
+@pytest.mark.parametrize("probs", NON_FINITE)
 def test_spectrum_rejects_non_finite_entries(probs):
     with pytest.raises(ValueError):
         SchmidtSpectrum(probs)
+
+
+# a tuple, a list, an array and a reversed (non-contiguous) view of an array
+INPUT_FORMS = {
+    "tuple": tuple,
+    "list": list,
+    "array": np.array,
+    "reversed_view": lambda probs: np.array(probs[::-1])[::-1],
+}
+
+
+@pytest.mark.parametrize("form", INPUT_FORMS)
+@pytest.mark.parametrize("probs", [(1.1, -0.1), *NON_FINITE])
+def test_spectrum_input_forms_reject_the_same_entries(probs, form):
+    with pytest.raises(ValueError):
+        SchmidtSpectrum(INPUT_FORMS[form](probs))
+
+
+@pytest.mark.parametrize("probs", [[[0.5, 0.5]], [[0.5], [0.5]], 1.0])
+def test_spectrum_rejects_input_that_is_not_a_vector(probs):
+    with pytest.raises(ValueError, match="vector"):
+        SchmidtSpectrum(probs)
+
+
+@pytest.mark.parametrize(
+    "probs", [(0.5, 0.3, 0.2), (0.2, 0.5, 0.3), (0.5 + 1e-9, 0.5), (0.6, 0.4, -1e-13), (0.3, 0.3, 0.4 + 3e-7)]
+)
+def test_spectrum_input_forms_give_identical_probs(probs):
+    spectra = [SchmidtSpectrum(convert(probs)) for convert in INPUT_FORMS.values()]
+    assert len({s.probs.tobytes() for s in spectra}) == 1
+    assert len({s.resorted for s in spectra}) == 1
+    assert all(s.probs.dtype == np.float64 for s in spectra)
+
+
+def test_spectrum_copies_its_input_and_is_read_only():
+    source = np.array([0.2, 0.5, 0.3])
+    s = SchmidtSpectrum(source)
+    source[:] = (1.0, 0.0, 0.0)
+    assert s.probs.tolist() == [0.5, 0.3, 0.2]
+    assert not s.probs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        s.probs[0] = 1.0
+    # as_array hands out a writable copy
+    copy = s.as_array()
+    copy[0] = 1.0
+    assert s.probs.tolist() == [0.5, 0.3, 0.2]
+
+
+def test_spectrum_equality_and_hash_follow_the_coefficients():
+    a = SchmidtSpectrum((0.5, 0.3, 0.2))
+    b = SchmidtSpectrum(np.array([0.2, 0.5, 0.3]))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != SchmidtSpectrum((0.5, 0.5))
+    assert a != SchmidtSpectrum((0.5, 0.3, 0.2, 0.0))
+    assert a != (0.5, 0.3, 0.2)
+    # 0.0 and -0.0 are equal coefficients
+    signed = SchmidtSpectrum((1.0, -0.0))
+    assert signed == SchmidtSpectrum((1.0, 0.0))
+    assert hash(signed) == hash(SchmidtSpectrum((1.0, 0.0)))
 
 
 def test_spectrum_rejects_empty():
@@ -85,7 +145,7 @@ def test_spectrum_rejects_empty():
 
 def test_uniform_and_padding():
     u = SchmidtSpectrum.uniform(4)
-    assert u.probs == (0.25, 0.25, 0.25, 0.25)
+    assert u.probs.tolist() == [0.25, 0.25, 0.25, 0.25]
     pair = pad_pair(SchmidtSpectrum((1.0,)), u, size=5)
     assert pair.a.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
     assert pair.b.tolist() == [0.25, 0.25, 0.25, 0.25, 0.0]
@@ -267,7 +327,7 @@ def test_trace_distance_examples(f, expected):
     assert trace_distance_from_fidelity(f) == pytest.approx(expected, abs=1e-14)
 
 
-@pytest.mark.parametrize("f", [-0.001, 1.001])
+@pytest.mark.parametrize("f", [-0.001, 1.001, math.nan, math.inf, -math.inf])
 def test_trace_distance_range_errors(f):
     with pytest.raises(ValueError, match="range"):
         trace_distance_from_fidelity(f)
@@ -281,7 +341,7 @@ def test_trace_distance_range_errors(f):
 def test_parse_state_dict_schmidt():
     parsed = parse_state_dict({"schmidt": [0.5, 0.5]})
     assert isinstance(parsed, SchmidtSpectrum)
-    assert parsed.probs == (0.5, 0.5)
+    assert parsed.probs.tolist() == [0.5, 0.5]
 
 
 def test_parse_state_dict_amplitudes():
@@ -354,5 +414,5 @@ def test_parse_state_dict_amplitudes_are_exact():
 
 def test_pad_to_common():
     a, b = pad_to_common(SchmidtSpectrum((1.0,)), SchmidtSpectrum((0.5, 0.5)))
-    assert a.probs == (1.0, 0.0)
-    assert b.probs == (0.5, 0.5)
+    assert a.probs.tolist() == [1.0, 0.0]
+    assert b.probs.tolist() == [0.5, 0.5]
