@@ -34,6 +34,13 @@ _ENSEMBLE_MAX_BRANCHES = 4
 _ENSEMBLE_BATCH_ELEMENTS = 1 << 18
 
 
+def _count(value: object, name: str) -> int:
+    """``value`` as a positive int; a bool, float or string is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer: {value!r}")
+    return int(value)
+
+
 class GridBudgetError(RuntimeError):
     """Raised when a grid enumeration would exceed its point budget."""
 
@@ -56,8 +63,8 @@ class GridSpec:
             raise ValueError("grid dimension must be positive")
         if not (0.0 < self.step <= 1.0):
             raise ValueError(f"grid step out of range (0, 1]: {self.step!r}")
-        if self.budget is not None and (type(self.budget) is not int or self.budget < 1):
-            raise ValueError(f"budget must be a positive integer: {self.budget!r}")
+        if self.budget is not None:
+            _count(self.budget, "budget")
 
     @property
     def resolution(self) -> int:
@@ -74,11 +81,33 @@ class GridSpec:
 
 
 def _batch_random_unitaries(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitaries: QR of complex Gaussians, diagonal phases fixed."""
-    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
-    q, r = np.linalg.qr(z / math.sqrt(2.0))
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d / np.abs(d))[:, None, :]
+    """Haar-random unitaries: Gram-Schmidt on the columns of complex Gaussians.
+
+    Each matrix Z = X + iY has independent standard normal entries, drawn as
+    X then Y.  Z is invertible with probability one, and an invertible Z has
+    exactly one factorisation Z = QR with Q unitary and R upper triangular
+    with a positive real diagonal.  Gram-Schmidt on Z's columns builds that
+    factorisation (R's diagonal holds the column norms).  The textbook Haar
+    construction reaches the same Q from a LAPACK QR of Z / sqrt(2) by moving
+    the phases of R's diagonal into Q, and scaling Z does not change Q, so
+    the two agree to rounding.
+
+    Modified Gram-Schmidt loses orthogonality in proportion to Z's condition
+    number; a second pass against the earlier columns restores it to working
+    precision ("twice is enough").  The whole batch moves together: ``cols[j]``
+    holds column j of every matrix with the batch index last, so each step is
+    one array operation on contiguous rows.  The result is a view of shape
+    (count, n, n).
+    """
+    real, imag = rng.standard_normal((count, n, n)), rng.standard_normal((count, n, n))
+    cols = np.empty((n, n, count), dtype=complex)
+    cols.real, cols.imag = real.T, imag.T
+    for j, col in enumerate(cols):
+        for _ in range(2):
+            for q in cols[:j]:
+                col -= (q.conj() * col).sum(axis=0) * q
+        col /= np.sqrt((col.real**2 + col.imag**2).sum(axis=0))
+    return cols.T
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +191,20 @@ def grid_max_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, grid: GridS
 # ---------------------------------------------------------------------------
 
 
-def _overlap(m_tau_conj: np.ndarray, rotated: np.ndarray) -> np.ndarray:
-    amp = np.einsum("ij,...ij->...", m_tau_conj, rotated)
-    return np.abs(amp) ** 2
+def _overlaps(m_tau: np.ndarray, m_omega: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """|<tau|(U x V)|omega>|^2 for each pair (U, V) of the stacks ``us``, ``vs``.
+
+    The amplitude Tr(M_tau^H U M_omega V^T) is the sum over (i, k) of
+    (U M_omega)_ik (conj(M_tau) V)_ik.  Both factors are built with the batch
+    index last, the layout ``_batch_random_unitaries`` returns a view of:
+    U M_omega is one flat product, conj(M_tau) V is n products of
+    n x count blocks, and a product-sum over the first two axes finishes it.
+    """
+    count, n, _ = us.shape
+    left = m_omega.T @ us.T.reshape(n, n * count)  # [k, (i, b)]: (U_b M_omega)_ik
+    right = m_tau.conj() @ vs.T  # [k, i, b]: (conj(M_tau) V_b)_ik
+    amp = (left.reshape(n * n, count) * right.reshape(n * n, count)).sum(axis=0)
+    return amp.real**2 + amp.imag**2
 
 
 def _aligning_pair(m_tau: np.ndarray, m_omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,22 +226,14 @@ def sample_unitary_overlap(
     Sampling is chunked, with per-chunk generators derived from the master
     seed, so results are reproducible and chunks could run in parallel.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _count(trials, "trials")
     if tau.dims != omega.dims:
         raise ValueError("states must have equal dimensions")
-    n = tau.dims
-    m_tau_conj = tau.amplitudes.conj()
-    m_omega = omega.amplitudes
+    n, m_tau, m_omega = tau.dims, tau.amplitudes, omega.amplitudes
 
-    u, v = _aligning_pair(tau.amplitudes, m_omega)
-    injected = np.stack(
-        [
-            _overlap(m_tau_conj, m_omega),  # identity pair
-            _overlap(m_tau_conj, u @ m_omega @ v.T),
-        ]
-    )
-    best = float(injected.max())
+    u, v = _aligning_pair(m_tau, m_omega)
+    eye = np.eye(n)
+    best = float(_overlaps(m_tau, m_omega, np.stack([eye, u]), np.stack([eye, v])).max())
 
     chunk_seeds = np.random.SeedSequence(seed).spawn(-(-trials // _MC_CHUNK))
     remaining = trials
@@ -211,8 +243,7 @@ def sample_unitary_overlap(
         rng = np.random.default_rng(child)
         us = _batch_random_unitaries(size, n, rng)
         vs = _batch_random_unitaries(size, n, rng)
-        rotated = us @ m_omega @ np.swapaxes(vs, 1, 2)
-        best = max(best, float(_overlap(m_tau_conj, rotated).max()))
+        best = max(best, float(_overlaps(m_tau, m_omega, us, vs).max()))
     return min(1.0, best)
 
 
@@ -269,8 +300,7 @@ def sample_feasible_ensembles(
     branches (alpha, a variant dominating it, beta or a sorted Dirichlet draw).
     A row failing ``_feasible`` gets fresh dominating variants under the same
     weights and is dropped if it still fails."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    count = _count(count, "count")
     a_arr, b_arr, _, _ = pad_pair(alpha, beta)
     n, k_max, tails_a = len(a_arr), _ENSEMBLE_MAX_BRANCHES, _tail_sums(a_arr)
     cap = max(1, _ENSEMBLE_BATCH_ELEMENTS // (k_max * n))

@@ -28,6 +28,15 @@ def diagonal_state(spectrum: SchmidtSpectrum) -> BipartiteState:
     return BipartiteState(np.diag(np.sqrt(spectrum.as_array())))
 
 
+def qr_haar_unitaries(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Reference Haar sampler: LAPACK QR of complex Gaussians, with R's
+    diagonal phases moved into Q.  Draws the same normals as the oracle."""
+    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    q, r = np.linalg.qr(z / math.sqrt(2.0))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 # ---------------------------------------------------------------------------
 # GridSpec and unitary plumbing
 # ---------------------------------------------------------------------------
@@ -40,6 +49,7 @@ def test_grid_spec_validation():
         GridSpec(2, 0.0)
     assert GridSpec(3, 0.01).resolution == 100
     assert GridSpec(3, 0.01, budget=5).resolved_budget == 5
+    assert GridSpec(3, 0.01, budget=np.int64(5)).resolved_budget == 5
     for budget in (0, -5, 2.5, True, "10"):
         with pytest.raises(ValueError, match="budget"):
             GridSpec(3, 0.01, budget=budget)
@@ -106,10 +116,24 @@ def test_unitary_pair_validation():
 
 
 def test_haar_random_unitary_is_unitary():
+    # a large batch meets ill-conditioned Gaussian draws.  One Gram-Schmidt
+    # pass leaves errors of 3e-14 to 2e-13 on these batches; the second pass
+    # must bring every matrix back to about 1e-15
     rng = np.random.default_rng(2)
-    for n in (2, 3, 5):
-        for u in oracle._batch_random_unitaries(4, n, rng):
-            assert np.allclose(u.conj().T @ u, np.eye(n), atol=1e-10)
+    for n in (2, 3, 4, 5, 8):
+        us = oracle._batch_random_unitaries(20_000, n, rng)
+        assert us.shape == (20_000, n, n)
+        gram = np.swapaxes(us, 1, 2).conj() @ us
+        assert np.linalg.norm(gram - np.eye(n), axis=(1, 2)).max() <= 1e-14
+
+
+def test_haar_sampler_matches_the_qr_construction():
+    # Q with a positive real diagonal in R is unique: from the same generator
+    # state, Gram-Schmidt and QR give the same unitaries up to rounding
+    for n in (1, 2, 3, 5, 8):
+        got = oracle._batch_random_unitaries(2000, n, np.random.default_rng(n))
+        want = qr_haar_unitaries(2000, n, np.random.default_rng(n))
+        assert np.abs(got - want).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +224,27 @@ def test_overlap_reproducible():
     assert a == b
 
 
+def test_overlaps_of_general_states_match_the_explicit_product():
+    # non-diagonal complex states, sampled pairs (a batch-last view) and the
+    # injected stack (contiguous) through the one overlap routine
+    rng = np.random.default_rng(113)
+    for n in range(1, 6):
+        tau, omega = random_state(rng, n), random_state(rng, n)
+        m_tau, m_omega = tau.amplitudes, omega.amplitudes
+        u, v = oracle._aligning_pair(m_tau, m_omega)
+        sampled = (oracle._batch_random_unitaries(7, n, rng), oracle._batch_random_unitaries(7, n, rng))
+        for us, vs in (sampled, (np.stack([np.eye(n), u]), np.stack([np.eye(n), v]))):
+            got = oracle._overlaps(m_tau, m_omega, us, vs)
+            want = [abs(np.vdot(m_tau, a @ m_omega @ b.T)) ** 2 for a, b in zip(us, vs)]
+            assert got == pytest.approx(want, abs=1e-12)
+
+
 def test_overlap_input_validation():
     tau = diagonal_state(BELL)
-    with pytest.raises(ValueError, match="trials"):
-        sample_unitary_overlap(tau, tau, trials=0, seed=0)
+    for trials in (0, -3, 2.5, 1000.0, True, "10", None):
+        with pytest.raises(ValueError, match="trials"):
+            sample_unitary_overlap(tau, tau, trials=trials, seed=0)
+    assert sample_unitary_overlap(tau, tau, trials=np.int64(3), seed=0) == pytest.approx(1.0)
     with pytest.raises(ValueError, match="dimensions"):
         sample_unitary_overlap(tau, diagonal_state(SchmidtSpectrum.uniform(3)), trials=1, seed=0)
 
@@ -281,8 +322,10 @@ def test_ensembles_reproducible():
 
 
 def test_ensembles_count_validation():
-    with pytest.raises(ValueError, match="count"):
-        sample_feasible_ensembles(BELL, BELL, count=0, seed=0)
+    for count in (0, -1, 10.0, 2.5, True, "10"):
+        with pytest.raises(ValueError, match="count"):
+            sample_feasible_ensembles(BELL, BELL, count=count, seed=0)
+    assert len(sample_feasible_ensembles(BELL, BELL, count=np.int32(5), seed=0)) == 5
 
 
 @st.composite
