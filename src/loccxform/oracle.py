@@ -12,7 +12,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,8 +58,7 @@ class GridSpec:
     budget: int | None = None
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError("grid dimension must be positive")
+        _count(self.dimension, "grid dimension")
         if not (0.0 < self.step <= 1.0):
             raise ValueError(f"grid step out of range (0, 1]: {self.step!r}")
         if self.budget is not None:
@@ -115,43 +113,15 @@ def _batch_random_unitaries(count: int, n: int, rng: np.random.Generator) -> np.
 # ---------------------------------------------------------------------------
 
 def _grid_size(total: int, parts: int) -> int:
-    """Partitions of ``total`` into at most ``parts`` parts: the size of ``_grid``."""
-    counts = [1] + [0] * total  # counts[t]: partitions of t into parts of size <= k
-    for k in range(1, min(parts, total) + 1):
+    """Partitions of ``total`` into at most ``parts`` parts: the grid's point count."""
+    parts = min(parts, total)
+    if parts <= 2:  # closed forms: here the budget's lower bound lets huge totals through
+        return total // 2 + 1 if parts == 2 else 1
+    counts = [t // 2 + 1 for t in range(total + 1)]  # counts[t]: parts of size <= k
+    for k in range(3, parts + 1):
         for t in range(k, total + 1):
             counts[t] += counts[t - k]
     return counts[total]
-
-
-@lru_cache(maxsize=8)
-def _grid(total: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nonincreasing integer compositions of ``total`` into ``parts`` slots,
-    with their cumulative sums, as read-only arrays."""
-    rows: list[list[int]] = []
-
-    def extend(prefix: list[int], remaining: int, cap: int, slots: int) -> None:
-        if slots == 1:
-            if remaining <= cap:
-                rows.append(prefix + [remaining])
-            return
-        low = -(-remaining // slots)  # ceil: later slots may not exceed this one
-        for v in range(min(cap, remaining), low - 1, -1):
-            extend(prefix + [v], remaining - v, v, slots - 1)
-
-    extend([], total, total, parts)
-    pts = np.array(rows, dtype=np.int64)
-    cum = np.cumsum(pts, axis=1)
-    pts.setflags(write=False)
-    cum.setflags(write=False)
-    return pts, cum
-
-
-def _sorted_grid_points(total: int, parts: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_grid(total, parts)``, unless its points would exceed ``budget``."""
-    size = _grid_size(total, parts)
-    if size > budget:
-        raise GridBudgetError(f"{size} grid points exceed the budget of {budget}")
-    return _grid(total, parts)
 
 
 def _exact_ceil_thresholds(heads: np.ndarray, resolution: int) -> np.ndarray:
@@ -167,23 +137,46 @@ def _exact_ceil_thresholds(heads: np.ndarray, resolution: int) -> np.ndarray:
 def grid_max_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, grid: GridSpec) -> float:
     """Exhaustive lower bound on the optimal conversion fidelity.
 
-    Enumerates every sorted grid point on the probability simplex whose
-    partial sums dominate alpha's, and returns the best overlap with beta
-    among them.  Feasibility uses exact integer thresholds, so the result can
-    never exceed the true optimum; it approaches it as the step shrinks.
+    Searches every sorted grid point on the probability simplex whose partial
+    sums dominate alpha's, and returns the best overlap with beta among them.
+    Feasibility uses exact integer thresholds, so the result can never exceed
+    the true optimum; it approaches it as the step shrinks.
+
+    The points grow one slot at a time as whole arrays, one row per prefix:
+    mass placed, last value (the next one's cap) and running amplitude
+    sum of sqrt(v_i b_i).  A slot takes each value from min(last, remaining)
+    down to the larger of ceil(remaining / slots left), which leaves room for
+    the rest, and the slot's threshold less the mass placed, which prunes no
+    feasible point.  Each prefix extends to a distinct grid point, so the
+    budget, checked first, bounds the frontier's memory as well as the work.
     """
     if max(alpha.nonzero_count, beta.nonzero_count) > grid.dimension:
         raise ValueError("grid dimension below the spectra's nonzero support")
+    big_n, slots, budget = grid.resolution, int(grid.dimension), grid.resolved_budget
+    # a partition into k parts orders into at most k! compositions: this lower
+    # bound refuses a fine grid before its exact count is paid for
+    k = min(slots, big_n)
+    lower = -(-math.comb(big_n + k - 1, k - 1) // math.factorial(k))
+    if lower > budget:
+        raise GridBudgetError(f"at least {lower} grid points exceed the budget of {budget}")
+    if (size := _grid_size(big_n, slots)) > budget:
+        raise GridBudgetError(f"{size} grid points exceed the budget of {budget}")
     # sorted spectra: whatever lies past the dimension is zero padding
-    pair = pad_pair(alpha, beta, grid.dimension)
-    a, b = pair.a[: grid.dimension], pair.b[: grid.dimension]
+    pair = pad_pair(alpha, beta, slots)
+    b, thresholds = pair.b[:slots], _exact_ceil_thresholds(np.cumsum(pair.a[:slots]), big_n)
 
-    big_n = grid.resolution
-    pts, cum = _sorted_grid_points(big_n, grid.dimension, grid.resolved_budget)
-    thresholds = _exact_ceil_thresholds(np.cumsum(a), big_n)
-    feasible = np.all(cum >= thresholds, axis=1)
-    amps = np.sqrt(pts[feasible] * b).sum(axis=1)
-    return float(min(1.0, amps.max() ** 2 / big_n))
+    placed, last, amp = np.zeros(1, dtype=np.int64), np.full(1, big_n), np.zeros(1)
+    for left, b_i, t_i in zip(range(slots, 1, -1), b, thresholds):
+        remaining = big_n - placed
+        top = np.minimum(last, remaining)
+        counts = np.maximum(top - np.maximum(-(-remaining // left), t_i - placed) + 1, 0)
+        rows = np.repeat(np.arange(len(counts)), counts)
+        # values run down from each row's top: top + start - (flat position)
+        last = np.repeat(top + np.cumsum(counts) - counts, counts) - np.arange(len(rows))
+        placed = placed[rows] + last
+        amp = amp[rows] + np.sqrt(last * b_i)
+    amp += np.sqrt((big_n - placed) * b[-1])  # the last slot takes what remains
+    return float(min(1.0, amp.max() ** 2 / big_n))
 
 
 # ---------------------------------------------------------------------------

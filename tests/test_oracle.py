@@ -1,4 +1,7 @@
+import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from loccxform import (
 )
 
 BELL = SchmidtSpectrum((0.5, 0.5))
+PRODUCT = SchmidtSpectrum((1.0,))
 
 
 def diagonal_state(spectrum: SchmidtSpectrum) -> BipartiteState:
@@ -53,39 +57,38 @@ def test_grid_spec_validation():
     for budget in (0, -5, 2.5, True, "10"):
         with pytest.raises(ValueError, match="budget"):
             GridSpec(3, 0.01, budget=budget)
+    for dimension in (3.0, 2.5, True, "3", -1):
+        with pytest.raises(ValueError, match="dimension"):
+            GridSpec(dimension, 0.01)
+    value = grid_max_fidelity(BELL, BELL, GridSpec(np.int64(3), 0.02))
+    assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grid_budget_error():
-    with pytest.raises(GridBudgetError):
+    with pytest.raises(GridBudgetError, match="budget"):
         grid_max_fidelity(BELL, BELL, GridSpec(2, 0.001, budget=10))
-    # the budget is held against the exact point count
+    # the budget is held against the exact point count, on every call of a key
     for total, parts in [(1, 1), (7, 3), (50, 4), (100, 3), (12, 20)]:
-        points = len(oracle._sorted_grid_points(total, parts, 10**6)[0])
-        oracle._sorted_grid_points(total, parts, points)
-        with pytest.raises(GridBudgetError):
-            oracle._sorted_grid_points(total, parts, points - 1)
+        points = oracle._grid_size(total, parts)
+        for _ in range(2):
+            grid_max_fidelity(PRODUCT, PRODUCT, GridSpec(parts, 1 / total, budget=points))
+            if points == 1:
+                continue  # a budget of 0 is not a GridSpec
+            with pytest.raises(GridBudgetError, match=f"^{points} grid points exceed the budget"):
+                grid_max_fidelity(PRODUCT, PRODUCT, GridSpec(parts, 1 / total, budget=points - 1))
 
 
-def test_grid_cache_is_a_bounded_lru():
-    oracle._grid.cache_clear()
-    size = oracle._grid.cache_info().maxsize
-    # the keys loccxform verify uses at n in {3, 4}, steps 0.01 and 0.02
-    verify_keys = [(100, 3), (100, 4), (50, 3), (50, 4)]
-    assert size >= len(verify_keys)
-    first = {key: oracle._sorted_grid_points(*key, 10**6)[0] for key in verify_keys}
-    assert all(oracle._sorted_grid_points(*key, 10**6)[0] is first[key] for key in verify_keys)
-    assert oracle._grid.cache_info().hits == len(verify_keys)
-    for total in range(1, 3 * size):
-        oracle._sorted_grid_points(total, 2, 10**6)
-        oracle._sorted_grid_points(100, 3, 10**6)  # kept warm
-        assert oracle._grid.cache_info().currsize <= size
-    assert oracle._sorted_grid_points(100, 3, 10**6)[0] is first[(100, 3)]
-    misses = oracle._grid.cache_info().misses
-    assert oracle._sorted_grid_points(100, 4, 10**6)[0] is not first[(100, 4)]
-    assert oracle._grid.cache_info().misses == misses + 1  # (100, 4) was evicted
-    # the budget still applies to a cached grid
-    with pytest.raises(GridBudgetError):
-        oracle._sorted_grid_points(100, 3, 10)
+def test_grid_budget_refuses_a_fine_grid_without_counting_it():
+    # 10^7 steps into 3 slots: about 8.3e12 points.  Counting them exactly
+    # would take a list of 10^7 + 1 counts; the closed-form bound needs none.
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridBudgetError, match="budget"):
+            grid_max_fidelity(BELL, BELL, GridSpec(3, 1e-7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_budget_env_var(monkeypatch):
@@ -181,6 +184,62 @@ def test_grid_dimension_mismatch():
     # padding up is fine
     value = grid_max_fidelity(BELL, BELL, GridSpec(3, 0.02))
     assert value == pytest.approx(1.0, abs=1e-12)
+
+
+def decimal_spectrum(rng: np.random.Generator, n: int, places: int) -> SchmidtSpectrum:
+    """Random spectrum of multiples of 10^-places: its partial sums land on
+    grid thresholds exactly when the resolution is a multiple of 10^places."""
+    units = rng.multinomial(10**places, rng.dirichlet(np.ones(n)))
+    return SchmidtSpectrum(np.sort(units)[::-1] / 10**places)
+
+
+def listed_grid_max_fidelity(
+    points: list[tuple[int, ...]], alpha: SchmidtSpectrum, beta: SchmidtSpectrum, resolution: int
+) -> float:
+    """Reference: the best overlap with beta over the listed grid points
+    whose partial sums reach alpha's (capped at 1, as normalisation allows)."""
+    heads = [min(Fraction(s), 1) for s in itertools.accumulate(alpha.probs.tolist())]
+    b = beta.probs.tolist() + [0.0] * (len(heads) - len(beta))
+    best = max(
+        math.fsum(math.sqrt(v * b_i) for v, b_i in zip(point, b))
+        for point in points
+        if all(Fraction(c, resolution) >= h for c, h in zip(itertools.accumulate(point), heads))
+    )
+    return min(1.0, best**2 / resolution)
+
+
+def test_grid_walk_matches_listing_every_sorted_point():
+    rng = np.random.default_rng(2024)
+    for n, resolution in [(1, 24), (2, 24), (3, 24), (4, 20), (5, 12), (6, 10), (6, 12)]:
+        points = [
+            point
+            for point in itertools.combinations_with_replacement(range(resolution, -1, -1), n)
+            if sum(point) == resolution
+        ]
+        assert oracle._grid_size(resolution, n) == len(points)
+        pairs = [(random_spectrum(rng, n), random_spectrum(rng, n)) for _ in range(4)]
+        pairs += [(decimal_spectrum(rng, n, places), decimal_spectrum(rng, n, places))
+                  for places in (1, 1, 2, 2)]
+        pairs += [(decimal_spectrum(rng, n, 1), random_spectrum(rng, n)) for _ in range(2)]
+        for alpha, beta in pairs:
+            expected = listed_grid_max_fidelity(points, alpha, beta, resolution)
+            value = grid_max_fidelity(alpha, beta, GridSpec(n, 1 / resolution))
+            assert value == pytest.approx(expected, abs=1e-14)
+
+
+def test_grid_walk_memory_stays_within_its_frontier():
+    # 7 slots at step 0.01: 596 763 sorted points.  The walk holds a few
+    # arrays of one row per prefix and peaked at 36 MiB; a table of every
+    # point with its partial sums peaked at 197 MiB.
+    uniform = SchmidtSpectrum.uniform(7)
+    tracemalloc.start()
+    try:
+        value = grid_max_fidelity(uniform, uniform, GridSpec(7, 0.01))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value <= 1.0
+    assert peak < 100 * 2**20
 
 
 # ---------------------------------------------------------------------------
