@@ -31,6 +31,8 @@ _ENSEMBLE_MAX_BRANCHES = 4
 # A round of ensembles holds at most this many branch coefficients (or a
 # single ensemble, when one alone is larger): memory stays bounded at large n.
 _ENSEMBLE_BATCH_ELEMENTS = 1 << 18
+# Resolutions, thresholds and masses are int64: 1/step must round below 2**63.
+_INT64_LIMIT = float(2**63)
 
 
 def _count(value: object, name: str) -> int:
@@ -61,6 +63,8 @@ class GridSpec:
         _count(self.dimension, "grid dimension")
         if not (0.0 < self.step <= 1.0):
             raise ValueError(f"grid step out of range (0, 1]: {self.step!r}")
+        if not 1.0 / float(self.step) < _INT64_LIMIT:  # inf, or a resolution past int64
+            raise ValueError(f"grid step too fine for an int64 resolution: {self.step!r}")
         if self.budget is not None:
             _count(self.budget, "budget")
 
@@ -130,8 +134,8 @@ def _exact_ceil_thresholds(heads: np.ndarray, resolution: int) -> np.ndarray:
     out = np.empty(len(heads), dtype=np.int64)
     for i, value in enumerate(heads):
         frac = Fraction(float(value))
-        out[i] = -((-frac.numerator * resolution) // frac.denominator)
-    return np.minimum(np.maximum(out, 0), resolution)
+        out[i] = min(max(-((-frac.numerator * resolution) // frac.denominator), 0), resolution)
+    return out
 
 
 def grid_max_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, grid: GridSpec) -> float:
@@ -149,6 +153,17 @@ def grid_max_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, grid: GridS
     the rest, and the slot's threshold less the mass placed, which prunes no
     feasible point.  Each prefix extends to a distinct grid point, so the
     budget, checked first, bounds the frontier's memory as well as the work.
+
+    How far below the optimum the result can fall: let xi be any spectrum
+    whose partial sums S_k dominate alpha's, and h = 1/resolution.  Round
+    them up to the grid, X_k = ceil(S_k/h) h, and take x_k = X_k - X_(k-1).
+    Then x >= 0, its partial sums X_k >= S_k dominate alpha's, and
+    |x_k - xi_k| < h since both roundings lie in [0, h).  Sorting x keeps
+    its partial sums dominant and, beta being sorted, does not lower the
+    overlap, so the sorted x is a searched point and the result is at least
+    (sum_k sqrt(b_k max(0, xi_k - h)))**2, ``grid_fidelity_floor``.  With
+    xi the optimal reachable state, the shortfall is of order sqrt(h) where
+    a coefficient of xi is near h, and of order h elsewhere.
     """
     if max(alpha.nonzero_count, beta.nonzero_count) > grid.dimension:
         raise ValueError("grid dimension below the spectra's nonzero support")
@@ -177,6 +192,15 @@ def grid_max_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, grid: GridS
         amp = amp[rows] + np.sqrt(last * b_i)
     amp += np.sqrt((big_n - placed) * b[-1])  # the last slot takes what remains
     return float(min(1.0, amp.max() ** 2 / big_n))
+
+
+def grid_fidelity_floor(xi: SchmidtSpectrum, beta: SchmidtSpectrum, grid: GridSpec) -> float:
+    """The least ``grid_max_fidelity(alpha, beta, grid)`` can return when xi's
+    partial sums dominate alpha's: (sum_k sqrt(b_k max(0, xi_k - h)))**2 with
+    h = 1/resolution (the proof is in ``grid_max_fidelity``)."""
+    pair = pad_pair(xi, beta)
+    amp = float(np.sqrt(pair.b * np.maximum(pair.a - 1.0 / grid.resolution, 0.0)).sum())
+    return amp * amp
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ import numpy as np
 
 # Tolerances: the package's only ones, each a rounding allowance with what it guards and its size.
 #
-# Rounding drift allowed in a spectrum's sum or a [0, 1] bound: above n * eps for any n up to 4500.
+# Rounding drift allowed in a spectrum's sum or a [0, 1] bound: above n * eps for any n up to 4500,
+# and SchmidtSpectrum certifies a sum within it without math.fsum for n up to about 9000.
 NORMALIZATION_ATOL = 1e-12
 # Most drift of an input sum or norm from 1 that is renormalized, not rejected: six-digit input.
 NORMALIZATION_ACCEPT = 1e-6
@@ -31,6 +32,10 @@ FIDELITY_SNAP = 1e-12
 SAMPLED_OVERLAP_TOL = 1e-9
 # Slack between an oracle value and the closed form it checks; differences seen are near 1e-16.
 ORACLE_TOL = 1e-10
+
+# Unit roundoff of float64 (2**-53), and NORMALIZATION_ATOL less what rounding a test against it costs.
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+_CERTIFIED_ATOL = NORMALIZATION_ATOL * (1.0 - 8 * _UNIT_ROUNDOFF)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,17 +63,26 @@ class SchmidtSpectrum:
         resorted = bool(np.count_nonzero(vals[:-1] < vals[1:]))
         if resorted:
             vals[::-1].sort(kind="stable")  # equal entries (0.0, -0.0) keep their order
-        try:
-            total = math.fsum(vals.tolist())
-        except OverflowError:  # finite entries whose sum leaves the float range
-            total = math.inf
-        # NaN fails every comparison above; the sum is where it shows.
-        if not math.isfinite(total):
-            raise ValueError(f"spectrum entries must be finite: sum = {total!r}")
-        if abs(total - 1.0) > NORMALIZATION_ACCEPT:
-            raise ValueError(f"spectrum not normalized: sum = {total!r}")
-        if abs(total - 1.0) > NORMALIZATION_ATOL:
-            vals /= total
+        # Certified sum (Higham 2002, sec. 4.2): adding n nonnegative floats in any order gives s with
+        # |s - S| <= g*S, S the exact sum, g = (n-1)u / (1 - (n-1)u); fsum gives S(1 + d), |d| <= u.
+        # So |fsum - 1| <= |s - 1| + (g + u)S <= |s - 1| + n*u*s / (1 - 2n*u): within ATOL (less 8u
+        # for this test's own rounding), fsum would neither raise nor renormalize, and is skipped.
+        certified = False
+        if low == low and vals[0] <= 1.0:  # no NaN (argmin finds any), so s cannot overflow
+            s, n_u = float(np.add.reduce(vals)), vals.size * _UNIT_ROUNDOFF
+            certified = abs(s - 1.0) + n_u * s / (1.0 - 2 * n_u) <= _CERTIFIED_ATOL
+        if not certified:
+            try:
+                total = math.fsum(vals.tolist())
+            except OverflowError:  # finite entries whose sum leaves the float range
+                total = math.inf
+            # NaN fails every comparison above; the sum is where it shows.
+            if not math.isfinite(total):
+                raise ValueError(f"spectrum entries must be finite: sum = {total!r}")
+            if abs(total - 1.0) > NORMALIZATION_ACCEPT:
+                raise ValueError(f"spectrum not normalized: sum = {total!r}")
+            if abs(total - 1.0) > NORMALIZATION_ATOL:
+                vals /= total
         vals.setflags(write=False)
         object.__setattr__(self, "probs", vals)
         object.__setattr__(self, "resorted", resorted)

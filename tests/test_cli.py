@@ -3,13 +3,16 @@ import io
 import json
 import math
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from loccxform import BipartiteState, SchmidtSpectrum, optimal_fidelity, schmidt_spectrum
+from loccxform import cli
 from loccxform.cli import emit_csv, main, parse_state_spec, report_to_dict
+from loccxform.oracle import GridSpec, grid_fidelity_floor
 
 PSI = '{"schmidt":[0.8,0.2]}'
 PHI = '{"schmidt":[0.5,0.5]}'
@@ -245,8 +248,9 @@ def test_verify_passes_and_reports(capsys):
 def test_verify_holds_the_grid_to_the_step_it_searched(capsys):
     # 1/step is not an integer: the grid is laid at 1/round(1/step).  Uniform
     # into uniform on 12 levels has f_opt = 1; at step 0.5 the grid's best is
-    # (1/2, 1/2, 0, ...) with fidelity 1/6, a gap of 5/6.  That is within
-    # 2 * 0.5, the bound of the step searched, but above 2 * 0.4.
+    # (1/2, 1/2, 0, ...) with fidelity 1/6, a gap of 5/6.  The grid's floor
+    # subtracts the step searched from each coefficient of xi = (1/12, ...),
+    # which leaves 0, so the gap passes.
     uniform = json.dumps({"schmidt": [1 / 12] * 12})
     argv = ["verify", uniform, uniform, "--seed", "0", "--trials", "50", "--ensembles", "20"]
     code, out, _ = run(capsys, *argv, "--grid-step", "0.4", "--format", "json")
@@ -261,6 +265,22 @@ def test_verify_holds_the_grid_to_the_step_it_searched(capsys):
     assert code == 0
 
 
+def test_verify_floors_the_grid_at_the_step_it_searched(capsys, monkeypatch):
+    # (0.9, 0.1) into (0.5, 0.5) has xi = alpha.  At --grid-step 0.4 the grid
+    # is laid at h = 1/round(2.5) = 0.5, so the floor is 0.5 * (0.9 - 0.5) =
+    # 0.2; at h = 0.4 it would be 0.25.  A grid value of 0.22 lies between.
+    alpha, beta = SchmidtSpectrum((0.9, 0.1)), SchmidtSpectrum((0.5, 0.5))
+    xi = optimal_fidelity(alpha, beta).xi
+    assert grid_fidelity_floor(xi, beta, GridSpec(2, 0.4)) == pytest.approx(0.2, abs=1e-15)
+    monkeypatch.setattr(cli, "grid_max_fidelity", lambda alpha, beta, grid: 0.22)
+    argv = ["verify", '{"schmidt":[0.9,0.1]}', '{"schmidt":[0.5,0.5]}', "--seed", "0"]
+    code, out, _ = run(capsys, *argv, "--grid-step", "0.4", "--format", "json")
+    grid = json.loads(out)[0]
+    assert grid["grid_step"] == 0.5
+    assert grid["pass"] is True
+    assert code == 0
+
+
 def test_verify_pads_unequal_lengths(capsys):
     code, out, _ = run(
         capsys,
@@ -272,6 +292,52 @@ def test_verify_pads_unequal_lengths(capsys):
     )
     assert code == 0
     assert all(check["pass"] for check in json.loads(out))
+
+
+# xi = alpha: the grid must round 0.9901 up to 1, so its best is 0.5 and the
+# gap is ten steps; the floor (sqrt(0.5 * (0.9901 - 0.01)))**2 = 0.49005 holds
+FLOOR_PAIR = ["verify", '{"schmidt":[0.9901,0.0099]}', '{"schmidt":[0.5,0.5]}', "--seed", "0"]
+
+
+def test_verify_passes_a_grid_gap_of_many_steps_above_its_floor(capsys):
+    code, out, _ = run(capsys, *FLOOR_PAIR, "--format", "json")
+    grid = json.loads(out)[0]
+    assert grid["oracle_value"] == pytest.approx(0.5, abs=1e-12)
+    assert grid["gap"] == pytest.approx(0.0990049998737, abs=1e-12)
+    assert grid["pass"] is True
+    assert code == 0
+
+
+def test_verify_fails_a_grid_value_below_its_floor(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "grid_max_fidelity", lambda alpha, beta, grid: 0.48)
+    code, out, _ = run(capsys, *FLOOR_PAIR)
+    assert out.splitlines()[0].startswith("[FAIL] grid search")
+    assert code == 4
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [lambda r: replace(r, f_opt=1.0), lambda r: replace(r, f_opt=r.f_opt * 1.05),
+     lambda r: replace(r, f_opt=1.0, xi=SchmidtSpectrum((0.5, 0.5)))],
+    ids=["f_opt=1", "f_opt*1.05", "xi=beta"],
+)
+def test_verify_fails_an_inflated_f_opt(capsys, monkeypatch, mutate):
+    # (0.6, 0.4) into (0.5, 0.5): xi = alpha, f_opt = 0.9899 and the grid
+    # finds it.  Each mutant's grid floor still holds; the check fails it
+    # because xi must dominate alpha and f_opt be xi's own fidelity.
+    monkeypatch.setattr(cli, "optimal_fidelity", lambda alpha, beta: mutate(optimal_fidelity(alpha, beta)))
+    code, out, _ = run(capsys, "verify", '{"schmidt":[0.6,0.4]}', '{"schmidt":[0.5,0.5]}', "--seed", "0")
+    assert out.splitlines()[0].startswith("[FAIL] grid search")
+    assert code == 4
+
+
+@pytest.mark.parametrize("step", ["5e-324", "1e-300"])
+def test_verify_rejects_a_grid_step_too_fine_for_int64(capsys, step):
+    argv = ["verify", '{"schmidt":[1]}', '{"schmidt":[1]}', "--seed", "1", "--grid-step", step]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: grid step too fine for an int64 resolution: {float(step)!r}\n"
 
 
 @pytest.mark.parametrize(

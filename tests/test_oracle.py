@@ -23,6 +23,8 @@ from loccxform import (
     sample_unitary_overlap,
     schmidt_spectrum,
 )
+from loccxform.oracle import grid_fidelity_floor
+from loccxform.spectra import FIDELITY_SNAP, ORACLE_TOL
 
 BELL = SchmidtSpectrum((0.5, 0.5))
 PRODUCT = SchmidtSpectrum((1.0,))
@@ -54,6 +56,10 @@ def test_grid_spec_validation():
     assert GridSpec(3, 0.01).resolution == 100
     assert GridSpec(3, 0.01, budget=5).resolved_budget == 5
     assert GridSpec(3, 0.01, budget=np.int64(5)).resolved_budget == 5
+    assert GridSpec(1, 2.0**-62).resolution == 2**62
+    for step in (2.0**-63, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="^grid step too fine for an int64 resolution: "):
+            GridSpec(1, step)
     for budget in (0, -5, 2.5, True, "10"):
         with pytest.raises(ValueError, match="budget"):
             GridSpec(3, 0.01, budget=budget)
@@ -176,6 +182,20 @@ def test_grid_one_sided_and_resolution_bound():
         value = grid_max_fidelity(alpha, beta, GridSpec(n, step))
         assert value <= theorem + 1e-12
         assert theorem - value <= 2 * step
+
+
+@given(
+    st.integers(2, 5), st.sampled_from([1.0, 0.3]), st.floats(0.01, 0.1), st.integers(0, 2**32 - 1)
+)
+@settings(max_examples=150, deadline=None)
+def test_grid_never_falls_below_its_floor(n, concentration, step, seed):
+    rng = np.random.default_rng(seed)
+    alpha, beta = (SchmidtSpectrum(np.sort(rng.dirichlet(np.full(n, concentration)))[::-1]) for _ in "ab")
+    spec = GridSpec(n, step)
+    report = optimal_fidelity(alpha, beta)
+    value = grid_max_fidelity(alpha, beta, spec)
+    assert value <= report.f_opt + FIDELITY_SNAP
+    assert value >= grid_fidelity_floor(report.xi, beta, spec) - ORACLE_TOL
 
 
 def test_grid_dimension_mismatch():

@@ -11,6 +11,7 @@ from loccxform import (
     BipartiteState,
     SchmidtSpectrum,
     aligned_fidelity,
+    optimal_fidelity,
     pad_to_common,
     parse_state_dict,
     schmidt_spectrum,
@@ -18,7 +19,8 @@ from loccxform import (
     trace_distance_from_fidelity,
 )
 from loccxform.oracle import _batch_random_unitaries
-from loccxform.spectra import pad_pair
+from loccxform.spectra import NORMALIZATION_ACCEPT, NORMALIZATION_ATOL, pad_pair
+from spectrum_reference import reference_spectrum
 
 
 def spectra_strategy(max_n=5):
@@ -141,6 +143,74 @@ def test_spectrum_equality_and_hash_follow_the_coefficients():
 def test_spectrum_rejects_empty():
     with pytest.raises(ValueError):
         SchmidtSpectrum(())
+
+
+# Entries that enter a spectrum's tail: zeros of both signs, subnormals, the
+# smallest normal, negatives inside and outside NORMALIZATION_ATOL, and
+# entries that are not finite or whose sum overflows.
+TAIL_ENTRIES = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, -1e-13, -2e-12,
+                math.nan, math.inf, -math.inf, 1e308]
+
+
+@st.composite
+def drawn_spectra(draw):
+    """A Dirichlet spectrum of 1 to 9000 levels, as an array or a list: sorted
+    or not, its sum as drawn, scaled off 1 by 1e-13 to 2e-6, or within a few
+    ulps of 1 +- NORMALIZATION_ATOL or NORMALIZATION_ACCEPT, with up to three
+    entries from TAIL_ENTRIES appended."""
+    n = draw(st.integers(1, 9000) | st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = np.sort(rng.dirichlet(np.full(n, draw(st.sampled_from([0.02, 0.3, 1.0, 10.0])))))[::-1]
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    drift = draw(st.sampled_from(["rounded", "scaled", "edge"]))
+    if drift == "scaled":
+        vals = vals * (1.0 + sign * draw(st.floats(1e-13, 2e-6)))
+    elif drift == "edge":
+        edge = draw(st.sampled_from([NORMALIZATION_ATOL, NORMALIZATION_ACCEPT]))
+        target = 1.0 + sign * edge + draw(st.integers(-4, 4)) * np.finfo(float).eps
+        vals[0] += target - math.fsum(vals)
+    vals = np.append(vals, draw(st.lists(st.sampled_from(TAIL_ENTRIES), max_size=3)))
+    if draw(st.booleans()):
+        rng.shuffle(vals)
+    return vals if draw(st.booleans()) else vals.tolist()
+
+
+CONSTRUCTOR_INPUTS = st.one_of(
+    drawn_spectra(),
+    st.lists(st.integers(-2, 3), min_size=1, max_size=5),
+    # a NaN that stops the sort can leave large entries behind a small first one
+    st.sampled_from([*NON_FINITE, (0.5, math.nan, *[1e308] * 8), (1.0, -0.0), (-0.0, 1.0),
+                     (0.5, -0.0, 0.5), [1], [0, 1], [2, -1]]),
+)
+
+
+@given(CONSTRUCTOR_INPUTS)
+@settings(max_examples=400, deadline=None)
+def test_spectrum_matches_the_reference_constructor(probs):
+    try:
+        expected, resorted = reference_spectrum(probs)
+    except Exception as exc:  # the constructor raises the same, with the same message
+        with pytest.raises(type(exc)) as raised:
+            SchmidtSpectrum(probs)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        return
+    s = SchmidtSpectrum(probs)
+    assert s.probs.tobytes() == expected.tobytes()  # -0.0 keeps its sign
+    assert s.resorted == resorted
+
+
+def test_large_spectra_skip_the_exact_sum(monkeypatch):
+    rng = np.random.default_rng(4096)
+    dirichlet = np.sort(rng.dirichlet(np.ones(4096)))[::-1]
+    source = (np.arange(1, 4097) + 1.0) ** -3.0
+    worst_xi = optimal_fidelity(SchmidtSpectrum(source / source.sum()), SchmidtSpectrum.uniform(4096)).xi
+    calls = []
+    monkeypatch.setattr(math, "fsum", lambda values: calls.append(len(values)) or 1.0)
+    SchmidtSpectrum(dirichlet)
+    SchmidtSpectrum(worst_xi.probs)
+    assert calls == []
+    SchmidtSpectrum(dirichlet * (1.0 + 1e-9))  # renormalized: the divisor is the exact sum
+    assert calls == [4096]
 
 
 def test_uniform_and_padding():
