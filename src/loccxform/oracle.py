@@ -273,9 +273,22 @@ def _tail_sums(arr: np.ndarray) -> np.ndarray:
     return np.cumsum(arr[..., ::-1], axis=-1)[..., ::-1]
 
 
+def _excess(tails_a: np.ndarray, branches: np.ndarray) -> np.ndarray:
+    """T_g(l) - T_a(l) at the levels l = 2..n for each branch g, where T(l) is
+    the tail sum from level l on.  Level 1 is left out: its tail sum is the
+    total probability, 1 for every spectrum, so comparing it would compare
+    two rounded totals of 1."""
+    return (_tail_sums(branches) - tails_a)[..., 1:]
+
+
 def _feasible(tails_a: np.ndarray, weights: np.ndarray, branches: np.ndarray) -> np.ndarray:
-    """Which rows' weighted average branch tail sums stay at or below alpha's."""
-    return np.all(np.einsum("bk,bkn->bn", weights, _tail_sums(branches)) <= tails_a, axis=-1)
+    """Which rows keep sum_k w_k (T_k(l) - T_a(l)) <= 0 at every level l >= 2.
+
+    The difference form gives exactly 0 for a copy of a, whatever the weights'
+    rounded sum.  Rounding is monotone, so a row stays feasible when a branch
+    whose ``_excess`` is nowhere positive replaces a copy of a.
+    """
+    return np.all(np.einsum("bk,bkn->bn", weights, _excess(tails_a, branches)) <= 0.0, axis=-1)
 
 
 def ensemble_is_feasible(
@@ -283,7 +296,13 @@ def ensemble_is_feasible(
 ) -> bool:
     """Do the weighted branch spectra keep every average tail sum at or below
     alpha's?  (The acceptance condition for a probabilistic conversion.)
-    ``weights`` must be a probability vector and each branch a spectrum."""
+    ``weights`` must be a probability vector and each branch a spectrum.
+
+    The test is ``_feasible``'s: sum_k w_k (T_k(l) - T_alpha(l)) <= 0 at the
+    levels l = 2..n, with T(l) the tail sum from level l on.  Level 1 holds
+    for any spectra (each total is 1), and testing it in floating point only
+    compares rounded totals; copies of alpha pass under any weights.
+    """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(branches),):
         raise ValueError(f"weights of shape {weights.shape} for {len(branches)} branches")
@@ -295,18 +314,23 @@ def ensemble_is_feasible(
     return bool(_feasible(_tail_sums(pairs[0].a), weights[None] / weights.sum(), gs)[0])
 
 
-def _dominating_variants(a: np.ndarray, rows: int, rng: np.random.Generator) -> np.ndarray:
-    """(rows, 4, n) spectra with tails at most a's: 1-3 upward mass shifts each."""
-    g, n = np.tile(a, (rows * _ENSEMBLE_MAX_BRANCHES, 1)), len(a)
-    idx, shifts = np.arange(len(g)), rng.integers(1, 4, size=len(g))
+def _dominating_variants(a: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """(m, n) spectra with tails at most a's: 1-3 upward mass shifts each.
+
+    Rounding can leave a computed tail sum an ulp above a's; such a variant
+    is replaced by a itself, so no variant's ``_excess`` is positive.
+    """
+    g, n = np.tile(a, (m, 1)), len(a)
+    idx, shifts = np.arange(m), rng.integers(1, 4, size=m)
     for step in range(3 if n > 1 else 0):
-        j = rng.integers(1, n, size=len(g))
+        j = rng.integers(1, n, size=m)
         i = rng.integers(0, j)
-        amount = rng.uniform(0.0, g[idx, j]) * (step < shifts)
+        amount = rng.random(m) * g[idx, j] * (step < shifts)
         g[idx, j] -= amount
         g[idx, i] += amount
         g = np.sort(g)[:, ::-1]
-    return g.reshape(rows, _ENSEMBLE_MAX_BRANCHES, n)
+    g[np.any(_excess(_tail_sums(a), g) > 0.0, axis=-1)] = a
+    return g
 
 
 def sample_feasible_ensembles(
@@ -314,9 +338,13 @@ def sample_feasible_ensembles(
 ) -> list[float]:
     """Average overlaps with beta of random feasible probabilistic conversions:
     the do-nothing ensemble {1, alpha}, then batches of up to four weighted
-    branches (alpha, a variant dominating it, beta or a sorted Dirichlet draw).
-    A row failing ``_feasible`` gets fresh dominating variants under the same
-    weights and is dropped if it still fails."""
+    branches, each alpha, a variant dominating it, beta or a sorted Dirichlet
+    draw.  A slot's kind is drawn first and only its branch is built.  A row
+    that fails ``_feasible`` with its variants still standing as alpha has
+    all its branches made variants; the round draws every variant in one
+    ``_dominating_variants`` call.  Swapping copies of alpha for variants
+    cannot make a row fail, so the final test, kept as the oracle's guard,
+    drops none."""
     count = _count(count, "count")
     a_arr, b_arr, _, _ = pad_pair(alpha, beta)
     n, k_max, tails_a = len(a_arr), _ENSEMBLE_MAX_BRANCHES, _tail_sums(a_arr)
@@ -329,12 +357,14 @@ def sample_feasible_ensembles(
         live = np.arange(k_max) < rng.integers(1, k_max + 1, size=(batch, 1))
         weights = rng.standard_exponential((batch, k_max)) * live
         weights /= weights.sum(axis=1, keepdims=True)
-        kind = rng.integers(0, 4, size=(batch, k_max, 1))
-        variants = _dominating_variants(a_arr, batch, rng)
-        mixes = np.sort(rng.dirichlet(np.ones(n), size=(batch, k_max)))[..., ::-1]
-        branches = np.select([kind == 0, kind == 1, kind == 2], [a_arr, variants, b_arr], mixes)
-        retry = ~_feasible(tails_a, weights, branches)
-        branches[retry] = _dominating_variants(a_arr, int(retry.sum()), rng)
+        # kinds 0-3: alpha, variant, beta, Dirichlet; dead slots stand as alpha
+        kind = np.where(live, rng.integers(0, 4, size=(batch, k_max)), 0)
+        branches = np.tile(a_arr, (batch, k_max, 1))
+        branches[kind == 2] = b_arr
+        mixed = kind == 3
+        branches[mixed] = np.sort(rng.dirichlet(np.ones(n), size=int(mixed.sum())))[:, ::-1]
+        varied = (kind == 1) | (live & ~_feasible(tails_a, weights, branches)[:, None])
+        branches[varied] = _dominating_variants(a_arr, int(varied.sum()), rng)
         overlaps = np.minimum(1.0, np.sqrt(branches * b_arr).sum(axis=-1) ** 2)
         averages = (weights * overlaps).sum(axis=1)
         values.extend(averages[_feasible(tails_a, weights, branches)].tolist())

@@ -9,7 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loccxform import BipartiteState, SchmidtSpectrum, optimal_fidelity, schmidt_spectrum
+from loccxform import (
+    BipartiteState,
+    SchmidtSpectrum,
+    aligned_fidelity,
+    optimal_fidelity,
+    schmidt_spectrum,
+)
 from loccxform import cli
 from loccxform.cli import emit_csv, main, parse_state_spec, report_to_dict
 from loccxform.oracle import GridSpec, grid_fidelity_floor
@@ -328,6 +334,24 @@ def test_verify_fails_an_inflated_f_opt(capsys, monkeypatch, mutate):
     monkeypatch.setattr(cli, "optimal_fidelity", lambda alpha, beta: mutate(optimal_fidelity(alpha, beta)))
     code, out, _ = run(capsys, "verify", '{"schmidt":[0.6,0.4]}', '{"schmidt":[0.5,0.5]}', "--seed", "0")
     assert out.splitlines()[0].startswith("[FAIL] grid search")
+    assert code == 4
+
+
+def test_verify_fails_an_f_opt_a_feasible_ensemble_beats(capsys, monkeypatch):
+    # (0.5, 0.3, 0.2) into (0.4, 0.4, 0.2): f_opt exceeds the aligned
+    # fidelity by 0.0026, so the do-nothing ensemble stays below an f_opt
+    # moved halfway down to it.  At seed 1 one of the 200 sampled ensembles
+    # lies above that midpoint, and the record must fail.
+    def lowered(alpha, beta):
+        report = optimal_fidelity(alpha, beta)
+        return replace(report, f_opt=(report.f_opt + aligned_fidelity(alpha, beta)) / 2)
+
+    monkeypatch.setattr(cli, "optimal_fidelity", lowered)
+    argv = ["verify", '{"schmidt":[0.5,0.3,0.2]}', '{"schmidt":[0.4,0.4,0.2]}', "--seed", "1"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    ensemble = json.loads(out)[2]
+    assert ensemble["oracle_value"] > ensemble["theorem_value"] + 1e-4
+    assert ensemble["pass"] is False
     assert code == 4
 
 

@@ -370,6 +370,46 @@ def test_infeasible_ensemble_detected():
     assert not ensemble_is_feasible(alpha, np.array([1.0]), [BELL.as_array()])
 
 
+def test_copies_of_alpha_are_feasible_under_any_weights():
+    # the weighted average of alpha's level-3 tail sum, 0.2, rounds to
+    # 0.2 + 2.8e-17 under these weights; differences of tails are exactly 0
+    alpha = SchmidtSpectrum((0.5, 0.3, 0.2))
+    weights = [0.39546198954297845, 0.5930180594914135, 0.011519950965607977]
+    assert ensemble_is_feasible(alpha, weights, [alpha.probs] * 3)
+
+
+def test_a_rounded_total_above_one_does_not_reject_a_dominating_branch():
+    # the branch dominates alpha at levels 2 and 3; its level-1 tail sum, the
+    # total probability, rounds to 1 + 2**-52 while alpha's rounds to 1
+    alpha = SchmidtSpectrum((0.5, 0.3, 0.2))
+    branch = np.array([0.8276178366889135, 0.1406603107007638, 0.03172185261032282])
+    assert oracle._tail_sums(branch)[0] > oracle._tail_sums(alpha.probs)[0]
+    assert ensemble_is_feasible(alpha, np.array([1.0]), [branch])
+
+
+@given(st.integers(2, 6), st.integers(2, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_copies_of_a_random_alpha_are_feasible(n, k, seed):
+    rng = np.random.default_rng(seed)
+    alpha = random_spectrum(rng, n)
+    assert ensemble_is_feasible(alpha, rng.dirichlet(np.ones(k)), [alpha.as_array()] * k)
+
+
+def test_every_all_variant_row_is_feasible():
+    # a shift can leave a computed tail sum an ulp above alpha's; those
+    # variants fall back to alpha, so weighted rows of variants never fail
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3, 4, 6, 10, 64):
+        for _ in range(20):
+            a = random_spectrum(rng, n).as_array()
+            rows = 500
+            branches = oracle._dominating_variants(a, rows * 4, rng).reshape(rows, 4, n)
+            live = np.arange(4) < rng.integers(1, 5, size=(rows, 1))
+            weights = rng.standard_exponential((rows, 4)) * live
+            weights /= weights.sum(axis=1, keepdims=True)
+            assert oracle._feasible(oracle._tail_sums(a), weights, branches).all()
+
+
 def test_ensemble_with_fewer_branches_than_weights_is_rejected():
     with pytest.raises(ValueError, match=r"weights of shape \(2,\) for 1 branches"):
         ensemble_is_feasible(SchmidtSpectrum((0.8, 0.2)), np.array([0.5, 0.5]), [np.array([1.0, 0.0])])
@@ -423,6 +463,22 @@ def test_batched_ensembles_start_with_do_nothing_and_stay_below_optimum(alpha, b
     assert len(values) == 300
     assert values[0] == aligned_fidelity(alpha, beta)
     assert max(values) <= optimal_fidelity(alpha, beta).f_opt + 1e-10
+
+
+def test_one_round_keeps_every_ensemble_it_draws(monkeypatch):
+    # rows that fail with their variants standing as alpha become all-variant
+    # rows, so 199 draws after the do-nothing ensemble take one round and one
+    # variants call
+    calls = []
+    draw = oracle._dominating_variants
+    monkeypatch.setattr(oracle, "_dominating_variants", lambda *args: calls.append(1) or draw(*args))
+    rng = np.random.default_rng(199)
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        alpha, beta = random_spectrum(rng, n), random_spectrum(rng, n)
+        calls.clear()
+        assert len(sample_feasible_ensembles(alpha, beta, count=200, seed=int(rng.integers(2**31)))) == 200
+        assert len(calls) == 1
 
 
 def test_ensembles_at_large_n_take_several_batches():
