@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .faithful import optimal_fidelity
-from .spectra import SchmidtSpectrum, tensor, trace_distance_from_fidelity
+from .spectra import SchmidtSpectrum, positive_int, tensor, trace_distance_from_fidelity
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class CatalysisReport:
 
 
 def _resolve_dimension(alpha: SchmidtSpectrum, n: int | None) -> int:
-    if n is None:
-        n = len(alpha)
+    n = len(alpha) if n is None else positive_int(n, "dimension")
     if n < alpha.nonzero_count:
         raise ValueError(
             f"dimension {n} below the {alpha.nonzero_count} nonzero coefficients"
@@ -69,8 +68,7 @@ def dilution_fidelity(m: int, beta: SchmidtSpectrum) -> tuple[float, SchmidtSpec
     The fidelity is the weight of beta's m largest coefficients, and the
     reached state is beta truncated to those coefficients and renormalized.
     """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+    m = positive_int(m, "m")
     if m >= beta.nonzero_count:
         return 1.0, beta
     head = math.fsum(beta.probs[:m].tolist())

@@ -41,6 +41,7 @@ from .spectra import (
     aligned_fidelity,
     pad_pair,
     parse_state_dict,
+    positive_int,
     schmidt_spectrum,
 )
 
@@ -67,7 +68,7 @@ def parse_state_spec(text: str) -> SchmidtSpectrum:
     raw = path.read_text(encoding="utf-8") if is_file else text
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ValueError(f"malformed state JSON: {exc}") from exc
     parsed = parse_state_dict(obj)
     if isinstance(parsed, BipartiteState):
@@ -202,18 +203,14 @@ def _cmd_nl_dist(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer: {args.seed!r}")
-    if args.trials < 1:
-        raise ValueError(f"--trials must be a positive integer: {args.trials!r}")
-    if args.ensembles < 1:
-        raise ValueError(f"--ensembles must be a positive integer: {args.ensembles!r}")
-    if not (0.0 < args.grid_step <= 1.0):
-        raise ValueError(f"--grid-step must lie in (0, 1]: {args.grid_step!r}")
+    trials = positive_int(args.trials, "--trials")
+    ensembles = positive_int(args.ensembles, "--ensembles")
     alpha = parse_state_spec(args.psi)
     beta = parse_state_spec(args.phi)
-    report = optimal_fidelity(alpha, beta)
-
     pair = pad_pair(alpha, beta)
     spec = GridSpec(len(pair.a), args.grid_step)
+    report = optimal_fidelity(alpha, beta)
+
     grid = grid_max_fidelity(alpha, beta, spec)
     floor = grid_fidelity_floor(report.xi, beta, spec)
     # the grid is laid at 1/resolution, which rounds 1/--grid-step to an integer
@@ -221,9 +218,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # diagonal representatives of the padded spectra keep dimensions equal
     tau = BipartiteState(np.diag(np.sqrt(pair.a)))
     omega = BipartiteState(np.diag(np.sqrt(pair.b)))
-    sampled = sample_unitary_overlap(tau, omega, args.trials, args.seed)
+    sampled = sample_unitary_overlap(tau, omega, trials, args.seed)
     aligned = aligned_fidelity(alpha, beta)
-    worst = max(sample_feasible_ensembles(alpha, beta, args.ensembles, args.seed))
+    worst = max(sample_feasible_ensembles(alpha, beta, ensembles, args.seed))
     # The floor is proven for a xi whose partial sums dominate alpha's; tying
     # f_opt to xi's own fidelity makes it bound f_opt - grid from above too.
     grid_ok = (-FIDELITY_SNAP <= report.f_opt - grid and grid >= floor - ORACLE_TOL
@@ -261,10 +258,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     target = parse_state_spec(args.phi)
     if not (0.0 <= args.start <= args.stop <= 1.0):
         raise ValueError("sweep range must satisfy 0 <= start <= stop <= 1")
-    if args.steps < 1:
-        raise ValueError("steps must be at least 1")
     rows = []
-    for t in np.linspace(args.start, args.stop, args.steps):
+    for t in np.linspace(args.start, args.stop, positive_int(args.steps, "--steps")):
         alpha = SchmidtSpectrum((1.0 - float(t), float(t)))
         rep = optimal_fidelity(alpha, target)
         rows.append((float(t), rep.f_opt, rep.conclusive_p, rep.trace_distance))

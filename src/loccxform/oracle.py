@@ -21,6 +21,7 @@ from .spectra import (
     SchmidtSpectrum,
     aligned_fidelity,
     pad_pair,
+    positive_int,
 )
 
 DEFAULT_GRID_BUDGET = 10_000_000
@@ -35,51 +36,34 @@ _ENSEMBLE_BATCH_ELEMENTS = 1 << 18
 _INT64_LIMIT = float(2**63)
 
 
-def _count(value: object, name: str) -> int:
-    """``value`` as a positive int; a bool, float or string is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer: {value!r}")
-    return int(value)
-
-
 class GridBudgetError(RuntimeError):
     """Raised when a grid enumeration would exceed its point budget."""
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolution of a probability-simplex grid search.
-
-    ``budget`` caps the number of enumerated grid points; when None it falls
-    back to the LOCCXFORM_BUDGET environment variable or the built-in default.
-    Either must be a positive integer.
-    """
+    """Resolution of a probability-simplex grid search.  The number of grid
+    points it may enumerate is capped by LOCCXFORM_BUDGET, or the default."""
 
     dimension: int
     step: float
-    budget: int | None = None
 
     def __post_init__(self) -> None:
-        _count(self.dimension, "grid dimension")
+        positive_int(self.dimension, "grid dimension")
         if not (0.0 < self.step <= 1.0):
             raise ValueError(f"grid step out of range (0, 1]: {self.step!r}")
         if not 1.0 / float(self.step) < _INT64_LIMIT:  # inf, or a resolution past int64
             raise ValueError(f"grid step too fine for an int64 resolution: {self.step!r}")
-        if self.budget is not None:
-            _count(self.budget, "budget")
 
     @property
     def resolution(self) -> int:
-        return max(1, round(1.0 / self.step))
+        return round(1.0 / self.step)
 
-    @property
-    def resolved_budget(self) -> int:
-        if self.budget is not None:
-            return self.budget
-        text = os.environ.get(BUDGET_ENV, str(DEFAULT_GRID_BUDGET))
-        if not text.strip().isdecimal() or int(text) < 1:
-            raise ValueError(f"{BUDGET_ENV} must be a positive integer: {text!r}")
-        return int(text)
+
+def _grid_budget() -> int:
+    """Most grid points a search may enumerate: LOCCXFORM_BUDGET, or the built-in default."""
+    text = os.environ.get(BUDGET_ENV, str(DEFAULT_GRID_BUDGET))
+    return positive_int(int(text) if text.strip().isdecimal() else text, BUDGET_ENV)
 
 
 def _batch_random_unitaries(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -167,7 +151,7 @@ def grid_max_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, grid: GridS
     """
     if max(alpha.nonzero_count, beta.nonzero_count) > grid.dimension:
         raise ValueError("grid dimension below the spectra's nonzero support")
-    big_n, slots, budget = grid.resolution, int(grid.dimension), grid.resolved_budget
+    big_n, slots, budget = grid.resolution, int(grid.dimension), _grid_budget()
     # a partition into k parts orders into at most k! compositions: this lower
     # bound refuses a fine grid before its exact count is paid for
     k = min(slots, big_n)
@@ -243,7 +227,7 @@ def sample_unitary_overlap(
     Sampling is chunked, with per-chunk generators derived from the master
     seed, so results are reproducible and chunks could run in parallel.
     """
-    trials = _count(trials, "trials")
+    trials = positive_int(trials, "trials")
     if tau.dims != omega.dims:
         raise ValueError("states must have equal dimensions")
     n, m_tau, m_omega = tau.dims, tau.amplitudes, omega.amplitudes
@@ -345,7 +329,7 @@ def sample_feasible_ensembles(
     ``_dominating_variants`` call.  Swapping copies of alpha for variants
     cannot make a row fail, so the final test, kept as the oracle's guard,
     drops none."""
-    count = _count(count, "count")
+    count = positive_int(count, "count")
     a_arr, b_arr, _, _ = pad_pair(alpha, beta)
     n, k_max, tails_a = len(a_arr), _ENSEMBLE_MAX_BRANCHES, _tail_sums(a_arr)
     cap = max(1, _ENSEMBLE_BATCH_ELEMENTS // (k_max * n))

@@ -38,6 +38,14 @@ _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 _CERTIFIED_ATOL = NORMALIZATION_ATOL * (1.0 - 8 * _UNIT_ROUNDOFF)
 
 
+def positive_int(value: object, name: str) -> int:
+    """``value`` as a positive int; a bool, float or string is a ValueError.
+    The package checks every count and dimension it takes here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer: {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class SchmidtSpectrum:
     """Squared Schmidt coefficients: nonincreasing, nonnegative, summing to 1.
@@ -98,8 +106,7 @@ class SchmidtSpectrum:
     @classmethod
     def uniform(cls, n: int) -> "SchmidtSpectrum":
         """Maximally entangled spectrum with n equal coefficients."""
-        if n < 1:
-            raise ValueError("dimension must be positive")
+        n = positive_int(n, "dimension")
         return cls(np.full(n, 1.0 / n))
 
     @property

@@ -55,6 +55,18 @@ def test_concentration_explicit_dimension():
         concentration_fidelity(SchmidtSpectrum((0.5, 0.3, 0.2)), n=2)
 
 
+NOT_POSITIVE_INTEGERS = [0, -1, 2.5, 3.0, True, "3"]
+
+
+@pytest.mark.parametrize("value", NOT_POSITIVE_INTEGERS)
+@pytest.mark.parametrize(
+    "quantity", [concentration_fidelity, robustness_of_entanglement, teleportation_fidelity]
+)
+def test_explicit_dimension_must_be_a_positive_integer(quantity, value):
+    with pytest.raises(ValueError, match=f"^dimension must be a positive integer: {value!r}$"):
+        quantity(BELL, value)
+
+
 def test_robustness_values():
     assert robustness_of_entanglement(SchmidtSpectrum((1.0, 0.0))) == pytest.approx(0.0, abs=1e-12)
     for n in (2, 3, 5):
@@ -114,6 +126,12 @@ def test_dilution_single_term():
 def test_dilution_rejects_nonpositive_m():
     with pytest.raises(ValueError, match="positive"):
         dilution_fidelity(0, BELL)
+
+
+@pytest.mark.parametrize("m", NOT_POSITIVE_INTEGERS)
+def test_dilution_m_must_be_a_positive_integer(m):
+    with pytest.raises(ValueError, match=f"^m must be a positive integer: {m!r}$"):
+        dilution_fidelity(m, BELL)
 
 
 def test_dilution_matches_general_construction():

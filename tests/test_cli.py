@@ -125,9 +125,11 @@ def test_report_rejects_unnormalized(capsys):
 
 
 def test_report_rejects_malformed_json(capsys):
-    code, _, err = run(capsys, "report", '{"schmidt": oops', PHI)
-    assert code == 2
-    assert "malformed" in err
+    # the second input nests deeper than json.loads can recurse
+    for psi in ('{"schmidt": oops', '{"schmidt":' + "[" * 5000 + "1" + "]" * 5000 + "}"):
+        code, _, err = run(capsys, "report", psi, PHI)
+        assert code == 2
+        assert err.startswith("error: malformed state JSON: ")
 
 
 def test_missing_state_file_is_an_io_error(tmp_path, capsys):
@@ -369,12 +371,21 @@ def test_verify_rejects_a_grid_step_too_fine_for_int64(capsys, step):
     [("--seed", "-1"), ("--trials", "0"), ("--ensembles", "0"), ("--grid-step", "0"),
      ("--grid-step", "1.5"), ("--grid-step", "nan")],
 )
-def test_verify_rejects_bad_flag_values(capsys, flag, value):
+def test_verify_rejects_bad_flag_values(capsys, monkeypatch, flag, value):
+    def never(*args):
+        raise AssertionError("a bad flag must be refused before any work")
+
+    for name in ("optimal_fidelity", "grid_max_fidelity", "sample_unitary_overlap",
+                 "sample_feasible_ensembles"):
+        monkeypatch.setattr(cli, name, never)
     argv = ["verify", PSI, PHI, "--seed", "1", flag, value]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {flag} must ")
+    if flag == "--grid-step":  # GridSpec owns the step's range
+        assert err == f"error: grid step out of range (0, 1]: {float(value)!r}\n"
+    else:
+        assert err.startswith(f"error: {flag} must ")
 
 
 def test_verify_requires_seed(capsys):

@@ -222,6 +222,12 @@ def test_uniform_and_padding():
     assert SchmidtSpectrum((1.0, 0.0, 0.0)).nonzero_count == 1
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.5, 3.0, True, "3"])
+def test_uniform_dimension_must_be_a_positive_integer(n):
+    with pytest.raises(ValueError, match=f"^dimension must be a positive integer: {n!r}$"):
+        SchmidtSpectrum.uniform(n)
+
+
 # ---------------------------------------------------------------------------
 # Schmidt decomposition
 # ---------------------------------------------------------------------------
