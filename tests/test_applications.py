@@ -124,14 +124,9 @@ def test_dilution_single_term():
 
 
 def test_dilution_rejects_nonpositive_m():
-    with pytest.raises(ValueError, match="positive"):
-        dilution_fidelity(0, BELL)
-
-
-@pytest.mark.parametrize("m", NOT_POSITIVE_INTEGERS)
-def test_dilution_m_must_be_a_positive_integer(m):
-    with pytest.raises(ValueError, match=f"^m must be a positive integer: {m!r}$"):
-        dilution_fidelity(m, BELL)
+    for m in NOT_POSITIVE_INTEGERS:
+        with pytest.raises(ValueError, match=f"^m must be a positive integer: {m!r}$"):
+            dilution_fidelity(m, BELL)
 
 
 def test_dilution_matches_general_construction():

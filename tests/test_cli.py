@@ -125,8 +125,10 @@ def test_report_rejects_unnormalized(capsys):
 
 
 def test_report_rejects_malformed_json(capsys):
-    # the second input nests deeper than json.loads can recurse
-    for psi in ('{"schmidt": oops', '{"schmidt":' + "[" * 5000 + "1" + "]" * 5000 + "}"):
+    # the second input nests deeper than json.loads can recurse on any
+    # supported Python (3.12 decodes 5000 levels; 100 000 exceeds its limit)
+    deep = 100_000
+    for psi in ('{"schmidt": oops', '{"schmidt":' + "[" * deep + "1" + "]" * deep + "}"):
         code, _, err = run(capsys, "report", psi, PHI)
         assert code == 2
         assert err.startswith("error: malformed state JSON: ")
