@@ -27,13 +27,19 @@ class CatalysisReport:
     trace_distance_catalyzed: float
 
 
-def _resolve_dimension(alpha: SchmidtSpectrum, n: int | None) -> int:
+def resolve_dimension(alpha: SchmidtSpectrum, n: int | None) -> int:
+    """n, or alpha's length when n is None; it must hold alpha's support."""
     n = len(alpha) if n is None else positive_int(n, "dimension")
     if n < alpha.nonzero_count:
-        raise ValueError(
-            f"dimension {n} below the {alpha.nonzero_count} nonzero coefficients"
-        )
+        raise ValueError(f"dimension {n} below the {alpha.nonzero_count} nonzero coefficients")
     return n
+
+
+def checked_trace_distance(epsilon: float) -> float:
+    """epsilon if it lies in [0, 2], else (NaN too) a ValueError: the package's one such check."""
+    if not (0.0 <= epsilon <= 2.0):
+        raise ValueError(f"trace distance out of range [0, 2]: {epsilon!r}")
+    return epsilon
 
 
 def concentration_fidelity(alpha: SchmidtSpectrum, n: int | None = None) -> float:
@@ -42,14 +48,14 @@ def concentration_fidelity(alpha: SchmidtSpectrum, n: int | None = None) -> floa
     Doing nothing beyond basis alignment is optimal here, so this also equals
     ``optimal_fidelity(alpha, uniform_n).f_opt``.
     """
-    n = _resolve_dimension(alpha, n)
+    n = resolve_dimension(alpha, n)
     amp = math.fsum(np.sqrt(alpha.probs).tolist())
     return min(1.0, amp * amp / n)
 
 
 def robustness_of_entanglement(alpha: SchmidtSpectrum, n: int | None = None) -> float:
     """Minimal separable noise washing out the correlations: n*F_max - 1."""
-    n = _resolve_dimension(alpha, n)
+    n = resolve_dimension(alpha, n)
     return max(0.0, n * concentration_fidelity(alpha, n) - 1.0)
 
 
@@ -58,7 +64,7 @@ def teleportation_fidelity(alpha: SchmidtSpectrum, n: int | None = None) -> floa
 
     (n*F_max + 1) / (n + 1), i.e. ((sum sqrt(a_i))^2 + 1) / (n + 1).
     """
-    n = _resolve_dimension(alpha, n)
+    n = resolve_dimension(alpha, n)
     return (n * concentration_fidelity(alpha, n) + 1.0) / (n + 1.0)
 
 
@@ -106,8 +112,7 @@ def robustness_interval(
     epsilon is the trace distance between the corrupted input and alpha; the
     reachable distance can move by at most that much in either direction.
     """
-    if not (0.0 <= epsilon <= 2.0):
-        raise ValueError(f"trace distance out of range [0, 2]: {epsilon!r}")
+    epsilon = checked_trace_distance(epsilon)
     t_opt = optimal_fidelity(alpha, beta).trace_distance
     return max(0.0, t_opt - epsilon), min(2.0, t_opt + epsilon)
 

@@ -14,10 +14,12 @@ import numpy as np
 
 from .applications import (
     catalysis_check,
+    checked_trace_distance,
     concentration_fidelity,
     dilution_fidelity,
     nonlocal_fidelity,
     nonlocal_trace_distance,
+    resolve_dimension,
     robustness_interval,
     robustness_of_entanglement,
     teleportation_fidelity,
@@ -25,7 +27,6 @@ from .applications import (
 from .faithful import TransformReport, optimal_fidelity
 from .majorization import majorizes
 from .oracle import (
-    GridBudgetError,
     GridSpec,
     grid_fidelity_floor,
     grid_max_fidelity,
@@ -68,7 +69,7 @@ def parse_state_spec(text: str) -> SchmidtSpectrum:
     raw = path.read_text(encoding="utf-8") if is_file else text
     try:
         obj = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+    except (ValueError, RecursionError) as exc:  # nesting too deep, an integer past the digit limit
         raise ValueError(f"malformed state JSON: {exc}") from exc
     parsed = parse_state_dict(obj)
     if isinstance(parsed, BipartiteState):
@@ -150,11 +151,12 @@ def _cmd_schmidt(args: argparse.Namespace) -> int:
 
 def _cmd_teleport(args: argparse.Namespace) -> int:
     alpha = parse_state_spec(args.psi)
+    n = resolve_dimension(alpha, args.dim)
     payload = {
-        "dimension": args.dim if args.dim is not None else len(alpha),
-        "concentration_fidelity": concentration_fidelity(alpha, args.dim),
-        "robustness": robustness_of_entanglement(alpha, args.dim),
-        "teleportation_fidelity": teleportation_fidelity(alpha, args.dim),
+        "dimension": n,
+        "concentration_fidelity": concentration_fidelity(alpha, n),
+        "robustness": robustness_of_entanglement(alpha, n),
+        "teleportation_fidelity": teleportation_fidelity(alpha, n),
     }
     _print_payload(payload, args.format)
     return EXIT_OK
@@ -178,12 +180,9 @@ def _cmd_catalyze(args: argparse.Namespace) -> int:
         "trace_distance_bare": report.trace_distance_bare,
         "trace_distance_catalyzed": report.trace_distance_catalyzed,
         "delta_T": report.delta_T,
-        "noise_threshold": report.delta_T,
     }
     if args.epsilon is not None:
-        if not (0.0 <= args.epsilon <= 2.0):
-            raise ValueError(f"trace distance out of range [0, 2]: {args.epsilon!r}")
-        payload["noise"] = args.epsilon
+        payload["noise"] = checked_trace_distance(args.epsilon)
         payload["gain_survives_noise"] = bool(args.epsilon < report.delta_T)
     _print_payload(payload, args.format)
     return EXIT_OK
@@ -354,7 +353,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, GridBudgetError) as exc:
+    except ValueError as exc:  # every refused input, grid budgets included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -36,7 +36,7 @@ _ENSEMBLE_BATCH_ELEMENTS = 1 << 18
 _INT64_LIMIT = float(2**63)
 
 
-class GridBudgetError(RuntimeError):
+class GridBudgetError(ValueError):
     """Raised when a grid enumeration would exceed its point budget."""
 
 
@@ -222,15 +222,15 @@ def sample_unitary_overlap(
 ) -> float:
     """Largest sampled overlap |<tau|(U x V)|omega>|^2 over random local pairs.
 
-    The identity pair and the basis-aligning pair are always part of the
-    sample set, so the returned maximum attains the aligned-fidelity bound.
-    Sampling is chunked, with per-chunk generators derived from the master
-    seed, so results are reproducible and chunks could run in parallel.
+    U and V act on both states, so both must be n x n for one n (zero-padding
+    a rectangular state keeps its spectrum).  The identity and basis-aligning
+    pairs are always sampled, so the maximum attains the aligned-fidelity
+    bound.  Chunks draw from generators spawned from ``seed``: reproducible.
     """
     trials = positive_int(trials, "trials")
-    if tau.dims != omega.dims:
-        raise ValueError("states must have equal dimensions")
-    n, m_tau, m_omega = tau.dims, tau.amplitudes, omega.amplitudes
+    n, m_tau, m_omega = len(tau.amplitudes), tau.amplitudes, omega.amplitudes
+    if m_tau.shape != (n, n) or m_omega.shape != (n, n):
+        raise ValueError(f"states must have equal dimensions, square: {m_tau.shape}, {m_omega.shape}")
 
     u, v = _aligning_pair(m_tau, m_omega)
     eye = np.eye(n)

@@ -123,7 +123,7 @@ class SchmidtSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class BipartiteState:
-    """Pure state of an n x n system as its amplitude matrix.
+    """Pure state of an m x n system as its amplitude matrix, any 2-D shape.
 
     The Frobenius norm must be 1 up to ``NORMALIZATION_ACCEPT``; small drift
     is renormalized away so the stored matrix has unit norm within 1e-12.
@@ -133,8 +133,8 @@ class BipartiteState:
 
     def __post_init__(self) -> None:
         arr = np.array(self.amplitudes, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"amplitude matrix must be square, got shape {arr.shape}")
+        if arr.ndim != 2:
+            raise ValueError(f"amplitude matrix must be 2-D, got shape {arr.shape}")
         norm = float(np.linalg.norm(arr))
         if not math.isfinite(norm):
             raise ValueError(f"amplitudes must be finite: |amplitudes| = {norm!r}")
@@ -143,10 +143,6 @@ class BipartiteState:
         arr = arr / norm
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
-
-    @property
-    def dims(self) -> int:
-        return self.amplitudes.shape[0]
 
 
 def schmidt_spectrum(state: BipartiteState) -> SchmidtSpectrum:
@@ -222,7 +218,7 @@ def parse_state_dict(obj: object) -> SchmidtSpectrum | BipartiteState:
     """Decode the JSON state encoding.
 
     Accepts {"schmidt": [p1, p2, ...]} or {"amplitudes": [[[re, im], ...], ...]}
-    (row-major n x n); exactly one of the two keys must be present.  Every
+    (row-major m x n); exactly one of the two keys must be present.  Every
     entry must be a JSON number; NaN and infinities are rejected with the
     spectrum or state they would enter.
     """

@@ -13,8 +13,11 @@ from loccxform import (
     BipartiteState,
     SchmidtSpectrum,
     aligned_fidelity,
+    concentration_fidelity,
     optimal_fidelity,
+    robustness_of_entanglement,
     schmidt_spectrum,
+    teleportation_fidelity,
 )
 from loccxform import cli
 from loccxform.cli import emit_csv, main, parse_state_spec, report_to_dict
@@ -126,9 +129,14 @@ def test_report_rejects_unnormalized(capsys):
 
 def test_report_rejects_malformed_json(capsys):
     # the second input nests deeper than json.loads can recurse on any
-    # supported Python (3.12 decodes 5000 levels; 100 000 exceeds its limit)
+    # supported Python (3.12 decodes 5000 levels; 100 000 exceeds its limit);
+    # the third is an integer past the decoder's 4300-digit limit
     deep = 100_000
-    for psi in ('{"schmidt": oops', '{"schmidt":' + "[" * deep + "1" + "]" * deep + "}"):
+    for psi in (
+        '{"schmidt": oops',
+        '{"schmidt":' + "[" * deep + "1" + "]" * deep + "}",
+        '{"schmidt":[' + "1" * 5000 + "]}",
+    ):
         code, _, err = run(capsys, "report", psi, PHI)
         assert code == 2
         assert err.startswith("error: malformed state JSON: ")
@@ -175,12 +183,49 @@ def test_schmidt_from_amplitudes(capsys):
     assert json.loads(out)["schmidt"] == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
+# a 2 x 3 amplitude matrix with Schmidt coefficients 0.64 and 0.36
+RECTANGULAR = '{"amplitudes":[[[0.6,0],[0,0],[0,0]],[[0,0],[0.8,0],[0,0]]]}'
+
+
+def test_rectangular_amplitudes_are_accepted(capsys):
+    code, out, err = run(capsys, "schmidt", RECTANGULAR)
+    assert (code, out, err) == (0, "schmidt            0.64, 0.36\n", "")
+    code, out, _ = run(capsys, "report", RECTANGULAR, PHI, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["f_opt"] == pytest.approx(0.98, abs=1e-12)
+    code, out, _ = run(capsys, "verify", RECTANGULAR, PHI, "--seed", "1")
+    assert code == 0
+    assert out.count("[PASS]") == 3
+
+
 def test_teleport_values(capsys):
     code, out, _ = run(capsys, "teleport", '{"schmidt":[0.5,0.3,0.2]}', "--format", "json")
     payload = json.loads(out)
     assert code == 0
     assert payload["teleportation_fidelity"] == pytest.approx(0.97424, abs=1e-4)
     assert payload["robustness"] == pytest.approx(1.89695, abs=1e-4)
+
+
+def test_teleport_at_a_given_dimension(capsys):
+    alpha = SchmidtSpectrum((0.5, 0.3, 0.2))
+    code, out, _ = run(capsys, "teleport", '{"schmidt":[0.5,0.3,0.2]}', "--dim", "4")
+    assert code == 0
+    assert out.splitlines()[0].split() == ["dimension", "4"]
+    code, out, _ = run(capsys, "teleport", '{"schmidt":[0.5,0.3,0.2]}', "--dim", "4", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "dimension": 4,
+        "concentration_fidelity": concentration_fidelity(alpha, 4),
+        "robustness": robustness_of_entanglement(alpha, 4),
+        "teleportation_fidelity": teleportation_fidelity(alpha, 4),
+    }
+
+
+def test_teleport_rejects_a_dimension_below_the_support(capsys):
+    code, out, err = run(capsys, "teleport", '{"schmidt":[0.5,0.3,0.2]}', "--dim", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: dimension 1 below the 3 nonzero coefficients\n"
 
 
 def test_dilute(capsys):
@@ -208,7 +253,7 @@ def test_catalyze_with_noise_threshold(capsys):
     assert payload["convertible_bare"] is False
     assert payload["convertible_with_catalyst"] is True
     assert payload["delta_T"] > 0.1
-    assert payload["noise_threshold"] == payload["delta_T"]
+    assert "noise_threshold" not in payload
     assert payload["gain_survives_noise"] is True
 
 
@@ -366,6 +411,15 @@ def test_verify_rejects_a_grid_step_too_fine_for_int64(capsys, step):
     assert code == 2
     assert out == ""
     assert err == f"error: grid step too fine for an int64 resolution: {float(step)!r}\n"
+
+
+def test_verify_over_the_grid_budget_exits_2(capsys, monkeypatch):
+    # GridBudgetError is a ValueError, so main's one validation clause maps it
+    monkeypatch.setenv("LOCCXFORM_BUDGET", "3")
+    code, out, err = run(capsys, "verify", PSI, PHI, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: at least 51 grid points exceed the budget of 3\n"
 
 
 @pytest.mark.parametrize(

@@ -68,6 +68,7 @@ def test_grid_spec_validation():
 
 
 def test_grid_budget_error(monkeypatch):
+    assert issubclass(GridBudgetError, ValueError)  # one exception family for refused input
     monkeypatch.setenv("LOCCXFORM_BUDGET", "10")
     with pytest.raises(GridBudgetError, match="budget"):
         grid_max_fidelity(BELL, BELL, GridSpec(2, 0.001))
@@ -324,8 +325,16 @@ def test_overlap_input_validation():
         with pytest.raises(ValueError, match="trials"):
             sample_unitary_overlap(tau, tau, trials=trials, seed=0)
     assert sample_unitary_overlap(tau, tau, trials=np.int64(3), seed=0) == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="dimensions"):
-        sample_unitary_overlap(tau, diagonal_state(SchmidtSpectrum.uniform(3)), trials=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "shapes", [((2, 3), (2, 3)), ((2, 2), (3, 3)), ((3, 2), (2, 2)), ((2, 2), (2, 3))]
+)
+def test_overlap_needs_square_states_of_equal_shape(shapes):
+    # the local unitaries act on both matrices, so they must be n x n for one n
+    tau, omega = (BipartiteState(np.eye(*shape) / math.sqrt(min(shape))) for shape in shapes)
+    with pytest.raises(ValueError, match="^states must have equal dimensions"):
+        sample_unitary_overlap(tau, omega, trials=1, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -268,9 +269,25 @@ def test_schmidt_spectrum_invariance_many_rotations():
         assert schmidt_spectrum(rotated).probs == pytest.approx(reference, abs=1e-10)
 
 
-def test_bipartite_state_rejects_non_square():
-    with pytest.raises(ValueError, match="square"):
-        BipartiteState(np.ones((2, 3)) / math.sqrt(6))
+def test_rectangular_spectrum_matches_the_zero_padded_square_one():
+    rng = np.random.default_rng(16)
+    for m in range(1, 9):
+        for n in range(1, 9):
+            amps = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+            amps /= np.linalg.norm(amps)
+            square = np.zeros((max(m, n), max(m, n)), dtype=complex)
+            square[:m, :n] = amps
+            rect = schmidt_spectrum(BipartiteState(amps))
+            assert len(rect) == min(m, n)
+            pair = pad_pair(rect, schmidt_spectrum(BipartiteState(square)))
+            assert np.max(np.abs(pair.a - pair.b)) <= NORMALIZATION_ATOL
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 2, 2), (2, 2, 2)])
+def test_bipartite_state_rejects_input_that_is_not_a_matrix(shape):
+    amps = np.ones(shape) / math.sqrt(math.prod(shape))
+    with pytest.raises(ValueError, match=re.escape(f"amplitude matrix must be 2-D, got shape {shape}")):
+        BipartiteState(amps)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
@@ -286,7 +303,6 @@ def test_bipartite_state_rejects_unnormalized():
 
 def test_bipartite_state_dims_is_derived():
     m = np.eye(3) / math.sqrt(3)
-    assert BipartiteState(m).dims == 3
     with pytest.raises(TypeError):
         BipartiteState(m, dims=7)
 
