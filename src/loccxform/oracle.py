@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +28,9 @@ from .spectra import (
 DEFAULT_GRID_BUDGET = 10_000_000
 BUDGET_ENV = "LOCCXFORM_BUDGET"
 
-_MC_CHUNK = 2048
+# The Monte Carlo overlap matrix is scored in row blocks of at most this many
+# entries (or one row, when a row alone is longer): memory stays bounded.
+_MC_BLOCK_ELEMENTS = 1 << 16
 _ENSEMBLE_MAX_BRANCHES = 4
 # A round of ensembles holds at most this many branch coefficients (or a
 # single ensemble, when one alone is larger): memory stays bounded at large n.
@@ -193,19 +196,40 @@ def grid_fidelity_floor(xi: SchmidtSpectrum, beta: SchmidtSpectrum, grid: GridSp
 
 
 def _overlaps(m_tau: np.ndarray, m_omega: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """|<tau|(U x V)|omega>|^2 for each pair (U, V) of the stacks ``us``, ``vs``.
+    """|<tau|(U_b x V_c)|omega>|^2 for every U_b in ``us`` and V_c in ``vs``:
+    a (len(us), len(vs)) matrix.
 
     The amplitude Tr(M_tau^H U M_omega V^T) is the sum over (i, k) of
-    (U M_omega)_ik (conj(M_tau) V)_ik.  Both factors are built with the batch
-    index last, the layout ``_batch_random_unitaries`` returns a view of:
-    U M_omega is one flat product, conj(M_tau) V is n products of
-    n x count blocks, and a product-sum over the first two axes finishes it.
+    (U M_omega)_ik (conj(M_tau) V)_ik, bilinear in (U, V), so one product of
+    the two factors flattened over (i, k) scores every pair.  The factors are
+    built batch-last, the layout ``_batch_random_unitaries`` returns a view
+    of.  The product is an einsum, not BLAS: it adds each pair's terms in
+    order without fused multiply-adds, so the aligning pair's overlap, the
+    value ``verify`` prints, keeps the bits of a term-by-term sum.
     """
-    count, n, _ = us.shape
-    left = m_omega.T @ us.T.reshape(n, n * count)  # [k, (i, b)]: (U_b M_omega)_ik
-    right = m_tau.conj() @ vs.T  # [k, i, b]: (conj(M_tau) V_b)_ik
-    amp = (left.reshape(n * n, count) * right.reshape(n * n, count)).sum(axis=0)
+    n = len(m_tau)
+    left = m_omega.T @ us.T.reshape(n, -1)  # [k, (i, b)]: (U_b M_omega)_ik
+    right = m_tau.conj() @ vs.T  # [k, i, c]: (conj(M_tau) V_c)_ik
+    amp = np.einsum("kb,kc->bc", left.reshape(n * n, -1), right.reshape(n * n, -1))
     return amp.real**2 + amp.imag**2
+
+
+def _sampled_overlaps(
+    m_tau: np.ndarray, m_omega: np.ndarray, trials: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """The first ``trials`` entries, in row-major order, of the overlap matrix
+    of ceil(sqrt(trials)) Haar U's (drawn first) by ceil(trials / rows) Haar
+    V's, in row blocks of at most ``_MC_BLOCK_ELEMENTS`` entries.  Every U is
+    scored: (rows - 1) * cols < trials, as (rows - 1)^2 < trials.
+    """
+    n = len(m_tau)
+    rows = math.isqrt(trials - 1) + 1
+    us = _batch_random_unitaries(rows, n, rng)
+    vs = _batch_random_unitaries(-(-trials // rows), n, rng)
+    step = max(1, _MC_BLOCK_ELEMENTS // len(vs))
+    for start in range(0, rows, step):
+        block = _overlaps(m_tau, m_omega, us[start:start + step], vs)
+        yield block.ravel()[: trials - start * len(vs)]
 
 
 def _aligning_pair(m_tau: np.ndarray, m_omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,8 +248,12 @@ def sample_unitary_overlap(
 
     U and V act on both states, so both must be n x n for one n (zero-padding
     a rectangular state keeps its spectrum).  The identity and basis-aligning
-    pairs are always sampled, so the maximum attains the aligned-fidelity
-    bound.  Chunks draw from generators spawned from ``seed``: reproducible.
+    pairs are always scored, so the maximum attains the aligned-fidelity
+    bound.  The ``trials`` sampled pairs come from a product of about
+    sqrt(trials) Haar U's by as many Haar V's, drawn from
+    ``np.random.default_rng(seed)``: each is an independent Haar pair, but
+    pairs in one row share their U (and in one column their V).  The same
+    seed gives the same result, bit for bit.
     """
     trials = positive_int(trials, "trials")
     n, m_tau, m_omega = len(tau.amplitudes), tau.amplitudes, omega.amplitudes
@@ -235,16 +263,8 @@ def sample_unitary_overlap(
     u, v = _aligning_pair(m_tau, m_omega)
     eye = np.eye(n)
     best = float(_overlaps(m_tau, m_omega, np.stack([eye, u]), np.stack([eye, v])).max())
-
-    chunk_seeds = np.random.SeedSequence(seed).spawn(-(-trials // _MC_CHUNK))
-    remaining = trials
-    for child in chunk_seeds:
-        size = min(_MC_CHUNK, remaining)
-        remaining -= size
-        rng = np.random.default_rng(child)
-        us = _batch_random_unitaries(size, n, rng)
-        vs = _batch_random_unitaries(size, n, rng)
-        best = max(best, float(_overlaps(m_tau, m_omega, us, vs).max()))
+    for block in _sampled_overlaps(m_tau, m_omega, trials, np.random.default_rng(seed)):
+        best = max(best, float(block.max()))
     return min(1.0, best)
 
 
