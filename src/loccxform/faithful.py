@@ -129,9 +129,11 @@ class Staircase:
         return tuple(map(Segment, *(column.tolist() for column in columns)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformReport:
-    """Bundled answer for one source/target pair."""
+    """Bundled answer for one source/target pair.  Reports compare by
+    identity, as their staircases do; compare ``f_opt``, ``xi`` and
+    ``staircase.segments`` for equal answers."""
 
     f_opt: float
     xi: SchmidtSpectrum

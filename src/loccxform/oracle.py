@@ -70,33 +70,19 @@ def _grid_budget() -> int:
 
 
 def _batch_random_unitaries(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitaries: Gram-Schmidt on the columns of complex Gaussians.
+    """``count`` Haar-random n x n unitaries, shape (count, n, n).
 
-    Each matrix Z = X + iY has independent standard normal entries, drawn as
-    X then Y.  Z is invertible with probability one, and an invertible Z has
-    exactly one factorisation Z = QR with Q unitary and R upper triangular
-    with a positive real diagonal.  Gram-Schmidt on Z's columns builds that
-    factorisation (R's diagonal holds the column norms).  The textbook Haar
-    construction reaches the same Q from a LAPACK QR of Z / sqrt(2) by moving
-    the phases of R's diagonal into Q, and scaling Z does not change Q, so
-    the two agree to rounding.
-
-    Modified Gram-Schmidt loses orthogonality in proportion to Z's condition
-    number; a second pass against the earlier columns restores it to working
-    precision ("twice is enough").  The whole batch moves together: ``cols[j]``
-    holds column j of every matrix with the batch index last, so each step is
-    one array operation on contiguous rows.  The result is a view of shape
-    (count, n, n).
+    Each Z = X + iY has independent standard normal entries, X drawn first.
+    Z is invertible with probability one, and then has exactly one
+    factorisation Z = QR with Q unitary and R upper triangular with a
+    positive real diagonal; that Q is Haar-distributed.  LAPACK's QR leaves
+    R's diagonal phases free, so they are moved into Q (F. Mezzadri, Notices
+    AMS 54, 592 (2007)).
     """
-    real, imag = rng.standard_normal((count, n, n)), rng.standard_normal((count, n, n))
-    cols = np.empty((n, n, count), dtype=complex)
-    cols.real, cols.imag = real.T, imag.T
-    for j, col in enumerate(cols):
-        for _ in range(2):
-            for q in cols[:j]:
-                col -= (q.conj() * col).sum(axis=0) * q
-        col /= np.sqrt((col.real**2 + col.imag**2).sum(axis=0))
-    return cols.T
+    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +187,10 @@ def _overlaps(m_tau: np.ndarray, m_omega: np.ndarray, us: np.ndarray, vs: np.nda
 
     The amplitude Tr(M_tau^H U M_omega V^T) is the sum over (i, k) of
     (U M_omega)_ik (conj(M_tau) V)_ik, bilinear in (U, V), so one product of
-    the two factors flattened over (i, k) scores every pair.  The factors are
-    built batch-last, the layout ``_batch_random_unitaries`` returns a view
-    of.  The product is an einsum, not BLAS: it adds each pair's terms in
-    order without fused multiply-adds, so the aligning pair's overlap, the
-    value ``verify`` prints, keeps the bits of a term-by-term sum.
+    the two factors flattened over (i, k) scores every pair.  The product is
+    an einsum, not BLAS: it adds each pair's terms in order without fused
+    multiply-adds, so the aligning pair's overlap, the value ``verify``
+    prints, keeps the bits of a term-by-term sum.
     """
     n = len(m_tau)
     left = m_omega.T @ us.T.reshape(n, -1)  # [k, (i, b)]: (U_b M_omega)_ik
@@ -252,8 +237,8 @@ def sample_unitary_overlap(
     bound.  The ``trials`` sampled pairs come from a product of about
     sqrt(trials) Haar U's by as many Haar V's, drawn from
     ``np.random.default_rng(seed)``: each is an independent Haar pair, but
-    pairs in one row share their U (and in one column their V).  The same
-    seed gives the same result, bit for bit.
+    pairs in one row share their U (and in one column their V).  On one
+    numpy and LAPACK build, the same seed gives the same result, bit for bit.
     """
     trials = positive_int(trials, "trials")
     n, m_tau, m_omega = len(tau.amplitudes), tau.amplitudes, omega.amplitudes

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -144,6 +145,17 @@ def test_report_trace_distance_and_conclusive_fields():
     report = optimal_fidelity(SchmidtSpectrum((0.8, 0.2)), BELL)
     assert report.trace_distance == pytest.approx(2 * math.sqrt(1 - report.f_opt), abs=1e-14)
     assert report.conclusive_p == pytest.approx(conclusive_probability(SchmidtSpectrum((0.8, 0.2)), BELL))
+
+
+def test_reports_compare_by_identity_and_their_answers_by_value():
+    alpha, beta = SchmidtSpectrum((0.6, 0.3, 0.1)), SchmidtSpectrum((0.5, 0.5))
+    first, second = optimal_fidelity(alpha, beta), optimal_fidelity(alpha, beta)
+    assert first == first
+    assert first != second
+    assert dataclasses.replace(first) != first
+    assert (first.f_opt, first.xi, first.staircase.segments) == (
+        second.f_opt, second.xi, second.staircase.segments
+    )
 
 
 def test_structural_invariants_on_random_pairs():

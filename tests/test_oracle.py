@@ -35,15 +35,6 @@ def diagonal_state(spectrum: SchmidtSpectrum) -> BipartiteState:
     return BipartiteState(np.diag(np.sqrt(spectrum.as_array())))
 
 
-def qr_haar_unitaries(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Reference Haar sampler: LAPACK QR of complex Gaussians, with R's
-    diagonal phases moved into Q.  Draws the same normals as the oracle."""
-    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(z / math.sqrt(2.0))
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d / np.abs(d))[:, None, :]
-
-
 # ---------------------------------------------------------------------------
 # GridSpec and unitary plumbing
 # ---------------------------------------------------------------------------
@@ -126,9 +117,8 @@ def test_unitary_pair_validation():
 
 
 def test_haar_random_unitary_is_unitary():
-    # a large batch meets ill-conditioned Gaussian draws.  One Gram-Schmidt
-    # pass leaves errors of 3e-14 to 2e-13 on these batches; the second pass
-    # must bring every matrix back to about 1e-15
+    # a large batch meets ill-conditioned Gaussian draws; Householder QR
+    # keeps every Q unitary to within 3e-15 whatever Z's condition number
     rng = np.random.default_rng(2)
     for n in (2, 3, 4, 5, 8):
         us = oracle._batch_random_unitaries(20_000, n, rng)
@@ -137,13 +127,24 @@ def test_haar_random_unitary_is_unitary():
         assert np.linalg.norm(gram - np.eye(n), axis=(1, 2)).max() <= 1e-14
 
 
-def test_haar_sampler_matches_the_qr_construction():
-    # Q with a positive real diagonal in R is unique: from the same generator
-    # state, Gram-Schmidt and QR give the same unitaries up to rounding
-    for n in (1, 2, 3, 5, 8):
-        got = oracle._batch_random_unitaries(2000, n, np.random.default_rng(n))
-        want = qr_haar_unitaries(2000, n, np.random.default_rng(n))
-        assert np.abs(got - want).max() <= 1e-12
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_haar_sampler_is_the_unique_qr_factor_of_the_draws(n):
+    # Z = X + iY, X drawn first, has one factorisation Z = UR with U unitary
+    # and R upper triangular with a real, positive diagonal: R = U^H Z of
+    # the regenerated draws pins both the draw order and the phase fix.  A
+    # Haar U has mean zero; without the phase fix entry means reach 0.2-0.6.
+    count = 20_000
+    us = oracle._batch_random_unitaries(count, n, np.random.default_rng(n))
+    draws = np.random.default_rng(n)
+    real = draws.standard_normal((count, n, n))
+    z = real + 1j * draws.standard_normal((count, n, n))
+    r = np.swapaxes(us, 1, 2).conj() @ z
+    scale = np.linalg.norm(z, axis=(1, 2))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    assert (np.abs(np.tril(r, -1)).max(axis=(1, 2)) / scale).max() <= 1e-12
+    assert (np.abs(diag.imag).max(axis=1) / scale).max() <= 1e-12
+    assert diag.real.min() > 0.0
+    assert np.abs(us.mean(axis=0)).max() <= 0.03
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +307,9 @@ def test_overlap_reproducible():
 
 
 def test_overlaps_of_general_states_match_the_explicit_product():
-    # non-diagonal complex states, sampled stacks (batch-last views, unequal
-    # lengths) and the injected stack (contiguous) through the one overlap
-    # routine, which scores every (U_b, V_c) pair
+    # non-diagonal complex states, sampled stacks of unequal lengths and the
+    # injected stack through the one overlap routine, which scores every
+    # (U_b, V_c) pair
     rng = np.random.default_rng(113)
     for n in range(1, 6):
         tau, omega = random_state(rng, n), random_state(rng, n)
