@@ -18,11 +18,10 @@ from .applications import (
     concentration_fidelity,
     dilution_fidelity,
     nonlocal_fidelity,
-    nonlocal_trace_distance,
     resolve_dimension,
-    robustness_interval,
     robustness_of_entanglement,
     teleportation_fidelity,
+    widen_trace_distance,
 )
 from .faithful import TransformReport, optimal_fidelity
 from .majorization import majorizes
@@ -44,6 +43,7 @@ from .spectra import (
     parse_state_dict,
     positive_int,
     schmidt_spectrum,
+    trace_distance_from_fidelity,
 )
 
 EXIT_OK = 0
@@ -138,7 +138,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     report = optimal_fidelity(psi, phi)
     payload = report_to_dict(report)
     if args.epsilon is not None:
-        payload["noisy_trace_distance_bounds"] = list(robustness_interval(psi, phi, args.epsilon))
+        payload["noisy_trace_distance_bounds"] = list(
+            widen_trace_distance(report.trace_distance, args.epsilon)
+        )
     _print_payload(payload, args.format)
     return EXIT_OK
 
@@ -191,9 +193,10 @@ def _cmd_catalyze(args: argparse.Namespace) -> int:
 def _cmd_nl_dist(args: argparse.Namespace) -> int:
     a = parse_state_spec(args.a)
     b = parse_state_spec(args.b)
+    fidelity = nonlocal_fidelity(a, b)
     payload = {
-        "nonlocal_fidelity": nonlocal_fidelity(a, b),
-        "nonlocal_trace_distance": nonlocal_trace_distance(a, b),
+        "nonlocal_fidelity": fidelity,
+        "nonlocal_trace_distance": trace_distance_from_fidelity(fidelity),
     }
     _print_payload(payload, args.format)
     return EXIT_OK

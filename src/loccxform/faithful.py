@@ -62,6 +62,15 @@ plus the rounding in the scan's comparison.  So from each point the next one
 is the only point within the ties: every point is a vertex, and no Python
 loop runs.  The one-block-per-level worst case (cubic decay into uniform,
 n = 4096) takes this path after one round.
+
+Two paths.  A pair padded to fewer than ``_FLOAT_PATH_LEVELS`` levels takes
+the floats path: Python lists, tail and prefix sums added one level at a
+time, the hull pass above, ``math.sqrt`` and ``math.fsum``; only the
+staircase's columns and xi become arrays.  Longer pairs take the array path,
+with the pre-pass.  Both paths do the same floating-point operations in the
+same order (numpy's cumsum adds one element at a time, and its sqrt and
+division round as Python's do), so they agree bit for bit on every field of
+the report.
 """
 
 from __future__ import annotations
@@ -69,13 +78,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from itertools import accumulate, chain, repeat
+from operator import itemgetter, mul, sub, truediv
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .majorization import tail_ratio_min, verdict
 from .spectra import (
     FIDELITY_SNAP,
+    PARTIAL_SUM_TOL,
     RATIO_TIE_TOL,
     PaddedPair,
     SchmidtSpectrum,
@@ -83,6 +95,9 @@ from .spectra import (
     trace_distance_from_fidelity,
 )
 
+# Pairs padded to fewer levels take the floats path: there numpy's fixed cost
+# per call outweighs the arithmetic (crossover in README.md).
+_FLOAT_PATH_LEVELS = 36
 # Chains with fewer points skip the pre-pass, and its rounds stop below it:
 # there a round costs more than the hull loop it saves (crossover in CHANGES.md).
 _PREPASS_MIN_POINTS = 64
@@ -241,6 +256,86 @@ def _rescaled_target(staircase: Staircase, b: np.ndarray) -> SchmidtSpectrum:
     return SchmidtSpectrum(gamma)
 
 
+def _fidelity(roots: Iterable[float]) -> float:
+    """(sum of the blocks' sqrt(source mass * target mass))**2, snapped to 1
+    within ``FIDELITY_SNAP``."""
+    amp = math.fsum(roots)
+    f_opt = min(1.0, amp * amp)
+    return 1.0 if 1.0 - f_opt < FIDELITY_SNAP else f_opt
+
+
+def _short_chain(
+    alpha: SchmidtSpectrum, beta: SchmidtSpectrum
+) -> tuple[list[float], int, list[float], list[float], bool]:
+    """The floats path's padded pair: beta's padded coefficients, the
+    dimension, the chain bottom first (x from T_beta, y from T_alpha: the
+    origin, then levels m..1) and the deterministic verdict.
+
+    Tail sums run from the last level up and prefix sums from the first level
+    down, one addition at a time as numpy's cumsum adds them, so every value
+    equals the array path's bit for bit.
+    """
+    size = max(len(alpha), len(beta))
+    a, b = alpha.probs.tolist(), beta.probs.tolist()
+    a += [0.0] * (size - len(a))
+    b += [0.0] * (size - len(b))
+    m = size - b.count(0.0)  # spectra are sorted, so their zeros come last
+    if m == 0:
+        raise ValueError("target spectrum is all zero")
+    n = max(size - a.count(0.0), m)
+    xs = [0.0, *list(accumulate(reversed(b)))[size - m :]]
+    ys = [0.0, *list(accumulate(reversed(a)))[size - m :]]
+    deterministic = min(map(sub, accumulate(b), accumulate(a))) >= -PARTIAL_SUM_TOL
+    return b, n, xs, ys, deterministic
+
+
+def _short_blocks(
+    xs: list[float], ys: list[float]
+) -> tuple[list[int], list[float], list[float], float]:
+    """The chain's hull vertices, each block's source and target mass, and f_opt."""
+    keep = _hull_vertices(xs, ys)
+    hull_x, hull_y = itemgetter(*keep)(xs), itemgetter(*keep)(ys)  # the chain has 2+ points
+    source, target = list(map(sub, hull_y[1:], hull_y)), list(map(sub, hull_x[1:], hull_x))
+    return keep, source, target, _fidelity(map(math.sqrt, map(mul, source, target)))
+
+
+def _short_report(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> TransformReport:
+    """``optimal_fidelity`` on Python floats, in the array path's arithmetic."""
+    b, n, xs, ys, deterministic = _short_chain(alpha, beta)
+    keep, source, target, f_opt = _short_blocks(xs, ys)
+    m = len(xs) - 1
+    ratios = list(map(truediv, source, target))
+    lengths = list(map(sub, keep[1:], keep))  # levels per block; the bottom one runs to n
+    lengths[0] += n - m
+    # beta rescaled block by block, top block first; levels past n stay zero
+    gamma = list(map(mul, chain.from_iterable(map(repeat, ratios[::-1], lengths[::-1])), b))
+    gamma += [0.0] * (len(b) - n)
+    starts = np.array([m + 1 - k for k in keep[1:]])
+    blocks = np.array((ratios, source, target))  # rows of a read-only array are read-only
+    starts.setflags(write=False)
+    blocks.setflags(write=False)
+    return TransformReport(
+        f_opt=f_opt,
+        xi=SchmidtSpectrum(gamma),
+        trace_distance=trace_distance_from_fidelity(f_opt),
+        # T_alpha / T_beta at the levels where beta has mass: the chain's slopes from the origin
+        conclusive_p=min(1.0, max(0.0, min(map(truediv, ys[1:], xs[1:])))),
+        deterministic=deterministic,
+        staircase=Staircase(starts, *blocks, n),
+    )
+
+
+def fidelity_verdict(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> tuple[float, bool]:
+    """``optimal_fidelity(alpha, beta)``'s f_opt and deterministic, bit for
+    bit, without xi, the conclusive probability or a report."""
+    if max(len(alpha), len(beta)) < _FLOAT_PATH_LEVELS:
+        _, _, xs, ys, deterministic = _short_chain(alpha, beta)
+        return _short_blocks(xs, ys)[3], deterministic
+    pair = pad_pair(alpha, beta)
+    stairs = _build(pair)
+    return _fidelity(np.sqrt(stairs.source_mass * stairs.target_mass).tolist()), verdict(pair).deterministic
+
+
 def build_staircase(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> Staircase:
     """Block decomposition governing the optimal conversion of alpha to beta.
 
@@ -268,13 +363,14 @@ def optimal_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> Transform
 
     The value is (sum over blocks of sqrt(source_mass * target_mass))**2 and
     coincides with the aligned fidelity between the reachable state and beta.
+    Short pairs are solved on Python floats and longer ones with numpy (see
+    the module docstring); the two paths agree bit for bit.
     """
+    if max(len(alpha), len(beta)) < _FLOAT_PATH_LEVELS:
+        return _short_report(alpha, beta)
     pair = pad_pair(alpha, beta)
     staircase = _build(pair)
-    amp = math.fsum(np.sqrt(staircase.source_mass * staircase.target_mass).tolist())
-    f_opt = min(1.0, amp * amp)
-    if 1.0 - f_opt < FIDELITY_SNAP:
-        f_opt = 1.0
+    f_opt = _fidelity(np.sqrt(staircase.source_mass * staircase.target_mass).tolist())
     return TransformReport(
         f_opt=f_opt,
         xi=_rescaled_target(staircase, pair.b),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Context, Decimal
 from itertools import chain
 from typing import NamedTuple
 
@@ -36,6 +37,13 @@ ORACLE_TOL = 1e-10
 # Unit roundoff of float64 (2**-53), and NORMALIZATION_ATOL less what rounding a test against it costs.
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 _CERTIFIED_ATOL = NORMALIZATION_ATOL * (1.0 - 8 * _UNIT_ROUNDOFF)
+
+
+def _exact_norm(values: np.ndarray, order: int) -> str:
+    """The 1-norm or 2-norm of finite floats, to six digits, where float
+    arithmetic overflows: only the messages for such inputs need it."""
+    total = sum(Decimal(v) ** order for v in np.abs(values).ravel().tolist())
+    return f"{Context(prec=6).normalize(total.sqrt() if order == 2 else total):g}"
 
 
 def positive_int(value: object, name: str) -> int:
@@ -82,10 +90,12 @@ class SchmidtSpectrum:
         if not certified:
             try:
                 total = math.fsum(vals.tolist())
-            except OverflowError:  # finite entries whose sum leaves the float range
+            except OverflowError:  # a partial sum of finite entries left the float range
                 total = math.inf
             # NaN fails every comparison above; the sum is where it shows.
             if not math.isfinite(total):
+                if np.isfinite(vals).all():
+                    raise ValueError(f"spectrum not normalized: sum = {_exact_norm(vals, 1)}")
                 raise ValueError(f"spectrum entries must be finite: sum = {total!r}")
             if abs(total - 1.0) > NORMALIZATION_ACCEPT:
                 raise ValueError(f"spectrum not normalized: sum = {total!r}")
@@ -135,8 +145,11 @@ class BipartiteState:
         arr = np.array(self.amplitudes, dtype=complex)
         if arr.ndim != 2:
             raise ValueError(f"amplitude matrix must be 2-D, got shape {arr.shape}")
-        norm = float(np.linalg.norm(arr))
+        with np.errstate(over="ignore"):  # finite entries can overflow the sum of squares
+            norm = float(np.linalg.norm(arr))
         if not math.isfinite(norm):
+            if np.isfinite(arr).all():
+                raise ValueError(f"state not normalized: |amplitudes| = {_exact_norm(arr.view(float), 2)}")
             raise ValueError(f"amplitudes must be finite: |amplitudes| = {norm!r}")
         if abs(norm - 1.0) > NORMALIZATION_ACCEPT:
             raise ValueError(f"state not normalized: |amplitudes| = {norm!r}")

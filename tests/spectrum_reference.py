@@ -5,11 +5,14 @@ certified-sum check: clamp entries in [-NORMALIZATION_ATOL, 0) to 0, sort
 with a stable sort, take the exact sum with ``math.fsum`` and renormalize by
 it when it misses 1 by more than ``NORMALIZATION_ATOL``.  It raises the same
 errors with the same messages, and shares no code with ``loccxform.spectra``.
+A sum past the float range is reported to six digits from its exact value.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,6 +37,12 @@ def reference_spectrum(probs: object) -> tuple[np.ndarray, bool]:
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):
+        if all(map(math.isfinite, vals.tolist())):
+            exact = sum(map(Fraction, vals.tolist()))
+            with localcontext() as ctx:
+                ctx.prec = 6
+                size = (Decimal(exact.numerator) / exact.denominator).normalize()
+            raise ValueError(f"spectrum not normalized: sum = {size:g}")
         raise ValueError(f"spectrum entries must be finite: sum = {total!r}")
     if abs(total - 1.0) > NORMALIZATION_ACCEPT:
         raise ValueError(f"spectrum not normalized: sum = {total!r}")

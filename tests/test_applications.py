@@ -5,7 +5,9 @@ import pytest
 
 from conftest import dominating_spectrum, random_spectrum
 from loccxform import (
+    CatalysisReport,
     SchmidtSpectrum,
+    applications,
     catalysis_check,
     concentration_fidelity,
     dilution_fidelity,
@@ -16,7 +18,9 @@ from loccxform import (
     robustness_interval,
     robustness_of_entanglement,
     teleportation_fidelity,
+    tensor,
 )
+from loccxform import faithful
 
 BELL = SchmidtSpectrum((0.5, 0.5))
 
@@ -240,3 +244,37 @@ def test_nonlocal_metric_properties():
         if max(abs(a - b) for a, b in zip(x.probs, y.probs)) > 1e-8:
             assert d_xy > 1e-10
         assert nonlocal_trace_distance(x, z) <= d_xy + nonlocal_trace_distance(y, z) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Applications read f_opt and the verdict only
+# ---------------------------------------------------------------------------
+
+
+def test_applications_build_no_report_and_give_the_reports_answers(monkeypatch):
+    # sizes on both sides of the floats path's limit, catalysed pairs included
+    rng = np.random.default_rng(83)
+    eta = SchmidtSpectrum((0.6, 0.4))
+    cases = []
+    for n, m in [(1, 2), (2, 3), (5, 5), (16, 16), (24, 40)]:
+        alpha, beta = random_spectrum(rng, n), random_spectrum(rng, m)
+        bare, back = optimal_fidelity(alpha, beta), optimal_fidelity(beta, alpha)
+        catalyzed = optimal_fidelity(tensor(alpha, eta), tensor(beta, eta))
+        t_bare, t_cat = bare.trace_distance, catalyzed.trace_distance
+        expected = (
+            min(bare.f_opt, back.f_opt),
+            CatalysisReport(bare.deterministic, catalyzed.deterministic, t_bare - t_cat, t_bare, t_cat),
+            (max(0.0, t_bare - 0.05), min(2.0, t_bare + 0.05)),
+        )
+        cases.append((alpha, beta, expected))
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("an application built a report")
+
+    monkeypatch.setattr(faithful, "TransformReport", no_report)
+    for alpha, beta, (f_nl, catalysis, interval) in cases:
+        assert nonlocal_fidelity(alpha, beta) == f_nl
+        assert nonlocal_trace_distance(alpha, beta) == 2.0 * math.sqrt(1.0 - f_nl)
+        assert catalysis_check(alpha, beta, eta) == catalysis
+        assert robustness_interval(alpha, beta, 0.05) == interval
+    assert applications.optimal_fidelity is optimal_fidelity

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import shlex
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,12 +15,14 @@ from loccxform import (
     SchmidtSpectrum,
     aligned_fidelity,
     concentration_fidelity,
+    nonlocal_trace_distance,
     optimal_fidelity,
+    robustness_interval,
     robustness_of_entanglement,
     schmidt_spectrum,
     teleportation_fidelity,
 )
-from loccxform import cli
+from loccxform import applications, cli
 from loccxform.cli import emit_csv, main, parse_state_spec, report_to_dict
 from loccxform.oracle import GridSpec, grid_fidelity_floor
 
@@ -119,6 +122,39 @@ def test_report_with_noise_bounds(capsys):
     assert payload["noisy_trace_distance_bounds"] == pytest.approx(
         [t_opt - 0.2, t_opt + 0.2], abs=1e-9
     )
+    alpha, beta = parse_state_spec(PSI), parse_state_spec(PHI)
+    assert payload["noisy_trace_distance_bounds"] == list(robustness_interval(alpha, beta, 0.2))
+
+
+def test_report_and_nl_dist_compute_each_answer_once(capsys, monkeypatch):
+    reports, fidelities = [], []
+    real_fidelity = applications.fidelity_verdict
+    monkeypatch.setattr(cli, "optimal_fidelity", lambda a, b: reports.append(1) or optimal_fidelity(a, b))
+    monkeypatch.setattr(
+        applications, "fidelity_verdict", lambda a, b: fidelities.append(1) or real_fidelity(a, b)
+    )
+    assert run(capsys, "report", PSI, PHI, "--epsilon", "0.05")[0] == 0
+    assert (len(reports), len(fidelities)) == (1, 0)
+    assert run(capsys, "nl-dist", PSI, PHI)[0] == 0
+    assert (len(reports), len(fidelities)) == (1, 2)  # one per direction
+
+
+@pytest.mark.parametrize(
+    ("state", "message"),
+    [
+        ('{"amplitudes":[[[1e200,0]]]}', "state not normalized: |amplitudes| = 1e+200"),
+        ('{"schmidt":[1e308,1e308]}', "spectrum not normalized: sum = 2e+308"),
+    ],
+    ids=["norm", "sum"],
+)
+def test_report_says_a_finite_input_past_the_float_range_is_not_normalized(capsys, state, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "report", state, '{"schmidt":[1]}')
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not caught and "Warning" not in err
 
 
 def test_report_rejects_unnormalized(capsys):
@@ -279,6 +315,8 @@ def test_nl_dist(capsys):
     assert code == 0
     assert payload["nonlocal_fidelity"] == pytest.approx(0.5, abs=1e-12)
     assert payload["nonlocal_trace_distance"] == pytest.approx(math.sqrt(2), abs=1e-12)
+    alpha, beta = parse_state_spec('{"schmidt":[1,0]}'), parse_state_spec(PHI)
+    assert payload["nonlocal_trace_distance"] == nonlocal_trace_distance(alpha, beta)
 
 
 def test_verify_passes_and_reports(capsys):

@@ -1,6 +1,8 @@
-"""The linear hull scan against the quadratic reference scan."""
+"""The linear hull scan against the quadratic reference scan, on both the
+floats path and the array path."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -12,6 +14,15 @@ from loccxform.spectra import RATIO_TIE_TOL, pad_pair
 from scan_reference import reference_report
 
 SUBNORMAL = 5e-324
+PATHS = ("floats", "array")
+
+
+@contextmanager
+def on_path(path: str):
+    """Send every pair down the floats path, or every pair down the array path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(faithful, "_FLOAT_PATH_LEVELS", math.inf if path == "floats" else 0)
+        yield
 
 
 def bits(values) -> bytes:
@@ -129,26 +140,68 @@ def assert_matches_reference(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> N
         [want["f_opt"], want["trace_distance"], want["conclusive_p"]]
     )
     assert got.deterministic == want["deterministic"]
+    assert got.staircase.starts.dtype == np.dtype(int)
+    columns = (got.staircase.ratios, got.staircase.source_mass, got.staircase.target_mass, got.xi.probs)
+    assert all(column.dtype == np.float64 for column in columns)
 
 
-@given(pairs())
+@pytest.mark.parametrize("path", PATHS)
+@given(pair=pairs())
 @settings(max_examples=400, deadline=None)
-def test_hull_scan_reproduces_reference_report_bitwise(pair):
-    assert_matches_reference(*pair)
+def test_hull_scan_reproduces_reference_report_bitwise(path, pair):
+    with on_path(path):
+        assert_matches_reference(*pair)
 
 
 @given(pairs())
 @settings(max_examples=400, deadline=None)
 def test_prepass_on_every_pair_reproduces_reference_report_bitwise(pair):
-    with pytest.MonkeyPatch.context() as patch:
+    with on_path("array"), pytest.MonkeyPatch.context() as patch:
         patch.setattr(faithful, "_PREPASS_MIN_POINTS", 0)
         assert_matches_reference(*pair)
 
 
-@given(large_pairs())
+@pytest.mark.parametrize("path", PATHS)
+@given(pair=large_pairs())
 @settings(max_examples=60, deadline=None)
-def test_large_pairs_reproduce_reference_report_bitwise(pair):
-    assert_matches_reference(*pair)
+def test_large_pairs_reproduce_reference_report_bitwise(path, pair):
+    with on_path(path):
+        assert_matches_reference(*pair)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@given(pair=st.one_of(pairs(), large_pairs()))
+@settings(max_examples=200, deadline=None)
+def test_fidelity_verdict_is_the_reports_bitwise(path, pair):
+    with on_path(path):
+        report = optimal_fidelity(*pair)
+        f_opt, deterministic = faithful.fidelity_verdict(*pair)
+    assert bits([f_opt]) == bits([report.f_opt])
+    assert deterministic is report.deterministic
+
+
+@pytest.mark.parametrize("offset", [-1, 0], ids=["below", "at"])
+def test_pairs_at_the_float_path_boundary_match_the_reference(offset, monkeypatch):
+    # padded length _FLOAT_PATH_LEVELS - 1 takes the floats path, the constant itself the array path
+    size = faithful._FLOAT_PATH_LEVELS + offset
+    rng = np.random.default_rng(size)
+    cubic = (np.arange(1, size + 1) + 1.0) ** -3.0
+    cuts = np.sort(rng.integers(0, 101, size - 1))
+    candidates = [
+        (rng.dirichlet(np.ones(size)), rng.dirichlet(np.ones(size))),
+        (cubic, np.ones(size)),  # one block per level
+        (rng.dirichlet(np.ones(size // 2)), np.diff(np.concatenate(([0], cuts, [100]))) / 100),
+        (np.concatenate((rng.dirichlet(np.ones(size - 3)), [0.0] * 3)), rng.dirichlet(np.ones(size))),
+    ]
+    padded = []
+    real_pad_pair = faithful.pad_pair
+    monkeypatch.setattr(faithful, "pad_pair", lambda *args: padded.append(1) or real_pad_pair(*args))
+    for a, b in candidates:
+        padded.clear()
+        alpha, beta = spectrum(a.tolist()), spectrum(b.tolist())
+        assert max(len(alpha), len(beta)) == size
+        assert_matches_reference(alpha, beta)
+        assert bool(padded) is (offset == 0), "the pair took the wrong path"
 
 
 def test_prepass_keeps_vertices_of_near_tied_pairs():
@@ -196,7 +249,8 @@ def test_prepass_keeps_every_block_start(monkeypatch):
         assert bits(stairs.segments) == bits(full.segments)
 
 
-def test_report_builds_no_spectrum_besides_xi(monkeypatch):
+@pytest.mark.parametrize("path", PATHS)
+def test_report_builds_no_spectrum_besides_xi(monkeypatch, path):
     alpha = SchmidtSpectrum((0.55, 0.25, 0.2))
     beta = SchmidtSpectrum((0.5, 0.3, 0.1, 0.1))
     built = []
@@ -207,5 +261,9 @@ def test_report_builds_no_spectrum_besides_xi(monkeypatch):
         validate(self)
 
     monkeypatch.setattr(SchmidtSpectrum, "__post_init__", counting)
-    report = optimal_fidelity(alpha, beta)
-    assert built == [report.xi]
+    with on_path(path):
+        report = optimal_fidelity(alpha, beta)
+        assert built == [report.xi]
+        built.clear()
+        faithful.fidelity_verdict(alpha, beta)
+    assert built == []
