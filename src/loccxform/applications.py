@@ -10,7 +10,7 @@ import numpy as np
 
 # bench/run.py's trace counts the reports this module builds through the name optimal_fidelity
 from .faithful import fidelity_verdict, optimal_fidelity  # noqa: F401
-from .spectra import SchmidtSpectrum, positive_int, tensor, trace_distance_from_fidelity
+from .spectra import SchmidtSpectrum, positive_int, real_in_range, tensor, trace_distance_from_fidelity
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,8 @@ def resolve_dimension(alpha: SchmidtSpectrum, n: int | None) -> int:
 
 
 def checked_trace_distance(epsilon: float) -> float:
-    """epsilon if it lies in [0, 2], else (NaN too) a ValueError: the package's one such check."""
-    if not (0.0 <= epsilon <= 2.0):
-        raise ValueError(f"trace distance out of range [0, 2]: {epsilon!r}")
-    return epsilon
+    """epsilon if it is a real number in [0, 2], else a ValueError: the package's one such check."""
+    return real_in_range(epsilon, "trace distance", 0.0, 2.0, "[0, 2]")
 
 
 def concentration_fidelity(alpha: SchmidtSpectrum, n: int | None = None) -> float:

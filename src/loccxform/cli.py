@@ -209,8 +209,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ensembles = positive_int(args.ensembles, "--ensembles")
     alpha = parse_state_spec(args.psi)
     beta = parse_state_spec(args.phi)
-    pair = pad_pair(alpha, beta)
-    spec = GridSpec(len(pair.a), args.grid_step)
+    a, b = pad_pair(alpha, beta)
+    spec = GridSpec(len(a), args.grid_step)
     report = optimal_fidelity(alpha, beta)
 
     grid = grid_max_fidelity(alpha, beta, spec)
@@ -218,8 +218,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # the grid is laid at 1/resolution, which rounds 1/--grid-step to an integer
     grid_step = 1.0 / spec.resolution
     # diagonal representatives of the padded spectra keep dimensions equal
-    tau = BipartiteState(np.diag(np.sqrt(pair.a)))
-    omega = BipartiteState(np.diag(np.sqrt(pair.b)))
+    tau = BipartiteState(np.diag(np.sqrt(a)))
+    omega = BipartiteState(np.diag(np.sqrt(b)))
     sampled = sample_unitary_overlap(tau, omega, trials, args.seed)
     aligned = aligned_fidelity(alpha, beta)
     worst = max(sample_feasible_ensembles(alpha, beta, ensembles, args.seed))

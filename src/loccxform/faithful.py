@@ -89,9 +89,9 @@ from .spectra import (
     FIDELITY_SNAP,
     PARTIAL_SUM_TOL,
     RATIO_TIE_TOL,
-    PaddedPair,
     SchmidtSpectrum,
     pad_pair,
+    tail_chain,
     trace_distance_from_fidelity,
 )
 
@@ -213,21 +213,11 @@ def _hull_vertices(xs: list[float], ys: list[float]) -> list[int]:
     return [vertex[0] for vertex in hull]
 
 
-def _build(pair: PaddedPair) -> Staircase:
-    """Blocks of the lower hull of the tail-sum points.
-
-    ``ta``/``tb`` give the points of the levels 1..m where beta has mass; the
-    levels m+1..n add no target mass and are skipped, so the chain runs from
-    the origin (level n+1) through levels m..1.
-    """
-    m = int(np.count_nonzero(pair.b))
-    if m == 0:
-        raise ValueError("target spectrum is all zero")
-    n = max(int(np.count_nonzero(pair.a)), m)
-    # the chain bottom first: rows T_beta, T_alpha; the origin, then levels m..1
-    points = np.zeros((2, m + 1))
-    points[0, 1:] = pair.tb[m - 1 :: -1]
-    points[1, 1:] = pair.ta[m - 1 :: -1]
+def _build(points: np.ndarray, a: np.ndarray) -> Staircase:
+    """Blocks of the lower hull of a pair's ``tail_chain``, ``points``; the
+    source's padded coefficients ``a`` give the dimension, the larger support."""
+    m = points.shape[1] - 1
+    n = max(int(np.count_nonzero(a)), m)
     if m + 1 < _PREPASS_MIN_POINTS:
         keep = _hull_vertices(*points.tolist())
     else:
@@ -268,8 +258,8 @@ def _short_chain(
     alpha: SchmidtSpectrum, beta: SchmidtSpectrum
 ) -> tuple[list[float], int, list[float], list[float], bool]:
     """The floats path's padded pair: beta's padded coefficients, the
-    dimension, the chain bottom first (x from T_beta, y from T_alpha: the
-    origin, then levels m..1) and the deterministic verdict.
+    dimension, ``tail_chain``'s rows as lists (x from T_beta, y from T_alpha:
+    the origin, then levels m..1) and the deterministic verdict.
 
     Tail sums run from the last level up and prefix sums from the first level
     down, one addition at a time as numpy's cumsum adds them, so every value
@@ -325,15 +315,24 @@ def _short_report(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> TransformRep
     )
 
 
+def _array_solve(
+    alpha: SchmidtSpectrum, beta: SchmidtSpectrum
+) -> tuple[np.ndarray, np.ndarray, Staircase, float, bool]:
+    """The array path's padded target, tail chain, staircase, f_opt and verdict."""
+    a, b = pad_pair(alpha, beta)
+    points = tail_chain(a, b)
+    staircase = _build(points, a)
+    f_opt = _fidelity(np.sqrt(staircase.source_mass * staircase.target_mass).tolist())
+    return b, points, staircase, f_opt, verdict(a, b).deterministic
+
+
 def fidelity_verdict(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> tuple[float, bool]:
     """``optimal_fidelity(alpha, beta)``'s f_opt and deterministic, bit for
     bit, without xi, the conclusive probability or a report."""
     if max(len(alpha), len(beta)) < _FLOAT_PATH_LEVELS:
         _, _, xs, ys, deterministic = _short_chain(alpha, beta)
         return _short_blocks(xs, ys)[3], deterministic
-    pair = pad_pair(alpha, beta)
-    stairs = _build(pair)
-    return _fidelity(np.sqrt(stairs.source_mass * stairs.target_mass).tolist()), verdict(pair).deterministic
+    return _array_solve(alpha, beta)[3:]
 
 
 def build_staircase(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> Staircase:
@@ -344,7 +343,8 @@ def build_staircase(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> Staircase:
     entries than beta, the first block carries ratio 0 exactly (the dilution
     regime).
     """
-    return _build(pad_pair(alpha, beta))
+    a, b = pad_pair(alpha, beta)
+    return _build(tail_chain(a, b), a)
 
 
 def optimal_state(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> SchmidtSpectrum:
@@ -354,8 +354,8 @@ def optimal_state(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> SchmidtSpect
     ratio; the result is nonincreasing, normalized, and dominates alpha's
     partial sums, so the conversion into it is always possible.
     """
-    pair = pad_pair(alpha, beta)
-    return _rescaled_target(_build(pair), pair.b)
+    a, b = pad_pair(alpha, beta)
+    return _rescaled_target(_build(tail_chain(a, b), a), b)
 
 
 def optimal_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> TransformReport:
@@ -368,14 +368,12 @@ def optimal_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> Transform
     """
     if max(len(alpha), len(beta)) < _FLOAT_PATH_LEVELS:
         return _short_report(alpha, beta)
-    pair = pad_pair(alpha, beta)
-    staircase = _build(pair)
-    f_opt = _fidelity(np.sqrt(staircase.source_mass * staircase.target_mass).tolist())
+    b, points, staircase, f_opt, deterministic = _array_solve(alpha, beta)
     return TransformReport(
         f_opt=f_opt,
-        xi=_rescaled_target(staircase, pair.b),
+        xi=_rescaled_target(staircase, b),
         trace_distance=trace_distance_from_fidelity(f_opt),
-        conclusive_p=tail_ratio_min(pair),
-        deterministic=verdict(pair).deterministic,
+        conclusive_p=tail_ratio_min(points),
+        deterministic=deterministic,
         staircase=staircase,
     )

@@ -1,9 +1,9 @@
 """Convertibility tests between Schmidt spectra.
 
-Deterministic convertibility is a family of partial-sum comparisons; the
-optimal conclusive conversion probability is the worst ratio of the two
-spectra's tail sums.  Both read a ``PaddedPair``: the two spectra zero-padded
-to a common length, with their tail sums, built once per pair.
+Deterministic convertibility is a family of partial-sum comparisons of the
+two spectra zero-padded to a common length (``pad_pair``).  The conclusive
+tests compare their tail sums, and read the pair's ``tail_chain``, as the
+optimal conversion does; the best conclusive probability is its worst ratio.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import PARTIAL_SUM_TOL, PaddedPair, SchmidtSpectrum, pad_pair
+from .spectra import PARTIAL_SUM_TOL, SchmidtSpectrum, pad_pair, real_in_range, tail_chain
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,9 @@ class ConvertibilityVerdict:
     margin: float
 
 
-def verdict(pair: PaddedPair) -> ConvertibilityVerdict:
-    """``majorizes`` on a padded pair."""
-    gaps = pair.b.cumsum() - pair.a.cumsum()
+def verdict(a: np.ndarray, b: np.ndarray) -> ConvertibilityVerdict:
+    """``majorizes`` on a pair's padded coefficients."""
+    gaps = b.cumsum() - a.cumsum()
     margin = float(gaps.min())
     deterministic = margin >= -PARTIAL_SUM_TOL
     failing = None
@@ -40,12 +40,11 @@ def verdict(pair: PaddedPair) -> ConvertibilityVerdict:
     return ConvertibilityVerdict(deterministic, failing, margin)
 
 
-def tail_ratio_min(pair: PaddedPair) -> float:
-    """``conclusive_probability`` on a padded pair."""
-    mask = pair.tb > 0.0
+def tail_ratio_min(chain: np.ndarray) -> float:
+    """``conclusive_probability`` on a pair's ``tail_chain``: its smallest slope from the origin."""
     # a subnormal beta tail can overflow a ratio to inf, which never wins the minimum
     with np.errstate(over="ignore"):
-        ratios = pair.ta[mask] / pair.tb[mask]
+        ratios = chain[1, 1:] / chain[0, 1:]
     return float(min(1.0, max(0.0, ratios.min())))
 
 
@@ -55,7 +54,7 @@ def majorizes(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> ConvertibilityVe
     True exactly when every leading partial sum of alpha stays at or below
     the corresponding partial sum of beta (within PARTIAL_SUM_TOL).
     """
-    return verdict(pad_pair(alpha, beta))
+    return verdict(*pad_pair(alpha, beta))
 
 
 def weak_submajorizes(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, p: float) -> bool:
@@ -65,10 +64,9 @@ def weak_submajorizes(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, p: float) -
     beta (within PARTIAL_SUM_TOL).  The predicate is downward-closed in p;
     its supremum over p in [0, 1] is ``conclusive_probability``.
     """
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"probability out of range [0, 1]: {p!r}")
-    pair = pad_pair(alpha, beta)
-    return bool(np.all(pair.ta >= p * pair.tb - PARTIAL_SUM_TOL))
+    real_in_range(p, "probability", 0.0, 1.0, "[0, 1]")
+    t_beta, t_alpha = tail_chain(*pad_pair(alpha, beta))
+    return bool(np.all(t_alpha >= p * t_beta - PARTIAL_SUM_TOL))
 
 
 def conclusive_probability(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> float:
@@ -78,4 +76,4 @@ def conclusive_probability(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> flo
     Levels where beta's tail vanishes impose no constraint; a vanishing alpha
     tail against a positive beta tail forces probability 0.
     """
-    return tail_ratio_min(pad_pair(alpha, beta))
+    return tail_ratio_min(tail_chain(*pad_pair(alpha, beta)))

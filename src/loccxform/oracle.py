@@ -23,6 +23,7 @@ from .spectra import (
     aligned_fidelity,
     pad_pair,
     positive_int,
+    real_in_range,
 )
 
 DEFAULT_GRID_BUDGET = 10_000_000
@@ -53,8 +54,8 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         positive_int(self.dimension, "grid dimension")
-        if not (0.0 < self.step <= 1.0):
-            raise ValueError(f"grid step out of range (0, 1]: {self.step!r}")
+        # for floats, 0 < step exactly when the smallest subnormal <= step
+        real_in_range(self.step, "grid step", math.ulp(0.0), 1.0, "(0, 1]")
         if not 1.0 / float(self.step) < _INT64_LIMIT:  # inf, or a resolution past int64
             raise ValueError(f"grid step too fine for an int64 resolution: {self.step!r}")
 
@@ -150,8 +151,8 @@ def grid_max_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, grid: GridS
     if (size := _grid_size(big_n, slots)) > budget:
         raise GridBudgetError(f"{size} grid points exceed the budget of {budget}")
     # sorted spectra: whatever lies past the dimension is zero padding
-    pair = pad_pair(alpha, beta, slots)
-    b, thresholds = pair.b[:slots], _exact_ceil_thresholds(np.cumsum(pair.a[:slots]), big_n)
+    a, b = pad_pair(alpha, beta, slots)
+    b, thresholds = b[:slots], _exact_ceil_thresholds(np.cumsum(a[:slots]), big_n)
 
     placed, last, amp = np.zeros(1, dtype=np.int64), np.full(1, big_n), np.zeros(1)
     for left, b_i, t_i in zip(range(slots, 1, -1), b, thresholds):
@@ -171,8 +172,8 @@ def grid_fidelity_floor(xi: SchmidtSpectrum, beta: SchmidtSpectrum, grid: GridSp
     """The least ``grid_max_fidelity(alpha, beta, grid)`` can return when xi's
     partial sums dominate alpha's: (sum_k sqrt(b_k max(0, xi_k - h)))**2 with
     h = 1/resolution (the proof is in ``grid_max_fidelity``)."""
-    pair = pad_pair(xi, beta)
-    amp = float(np.sqrt(pair.b * np.maximum(pair.a - 1.0 / grid.resolution, 0.0)).sum())
+    x, b = pad_pair(xi, beta)
+    amp = float(np.sqrt(b * np.maximum(x - 1.0 / grid.resolution, 0.0)).sum())
     return amp * amp
 
 
@@ -299,8 +300,8 @@ def ensemble_is_feasible(
         raise ValueError(f"weights must be a probability vector: {weights.tolist()!r}")
     n = max(len(alpha), *map(len, branches))
     pairs = [pad_pair(alpha, SchmidtSpectrum(g), n) for g in branches]
-    gs = np.stack([pair.b for pair in pairs])[None]
-    return bool(_feasible(_tail_sums(pairs[0].a), weights[None] / weights.sum(), gs)[0])
+    gs = np.stack([g for _, g in pairs])[None]
+    return bool(_feasible(_tail_sums(pairs[0][0]), weights[None] / weights.sum(), gs)[0])
 
 
 def _dominating_variants(a: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -335,7 +336,7 @@ def sample_feasible_ensembles(
     cannot make a row fail, so the final test, kept as the oracle's guard,
     drops none."""
     count = positive_int(count, "count")
-    a_arr, b_arr, _, _ = pad_pair(alpha, beta)
+    a_arr, b_arr = pad_pair(alpha, beta)
     n, k_max, tails_a = len(a_arr), _ENSEMBLE_MAX_BRANCHES, _tail_sums(a_arr)
     cap = max(1, _ENSEMBLE_BATCH_ELEMENTS // (k_max * n))
     rng = np.random.default_rng(seed)

@@ -9,10 +9,10 @@ spectra only.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from decimal import Context, Decimal
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +52,16 @@ def positive_int(value: object, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be a positive integer: {value!r}")
     return int(value)
+
+
+def real_in_range(value: float, name: str, low: float, high: float, interval: str) -> float:
+    """``value`` if it is a real number (a float skips the slow ABC check) in [low, high], else a
+    ValueError naming ``interval``, for a bool or string too.  Every real parameter is checked here."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a real number: {value!r}")
+    if not low <= value <= high:  # NaN fails too
+        raise ValueError(f"{name} out of range {interval}: {value!r}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,35 +176,31 @@ def schmidt_spectrum(state: BipartiteState) -> SchmidtSpectrum:
     return SchmidtSpectrum(probs)
 
 
-class PaddedPair(NamedTuple):
-    """A source/target pair zero-padded to a common length.
-
-    ``ta[l-1]`` and ``tb[l-1]`` are the tail sums from level l down to the
-    last level.  The spectra are validated already, so padding copies their
-    coefficients without building or checking new spectra.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    ta: np.ndarray
-    tb: np.ndarray
-
-
-def pad_pair(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, size: int = 0) -> PaddedPair:
-    """Pad both spectra to the longer length, or to ``size`` if that is
-    longer, and take their tail sums."""
-    size = max(len(alpha), len(beta), size)
-    a = np.zeros(size)
-    b = np.zeros(size)
+def pad_pair(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, size: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Both spectra's coefficients zero-padded to the longer length, or to
+    ``size`` if longer: copies, with no new spectrum built or checked."""
+    a, b = np.zeros((2, max(len(alpha), len(beta), size)))
     a[: len(alpha)] = alpha.probs
     b[: len(beta)] = beta.probs
-    return PaddedPair(a, b, a[::-1].cumsum()[::-1], b[::-1].cumsum()[::-1])
+    return a, b
+
+
+def tail_chain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A padded pair's tail sums, each added one level at a time from the last: row 0
+    holds T_beta and row 1 T_alpha, at the origin, then at levels m..1, m being beta's
+    support.  Levels past m add no target mass, and constrain nothing that reads this."""
+    m = int(np.count_nonzero(b))
+    if m == 0:
+        raise ValueError("target spectrum is all zero")
+    points = np.zeros((2, m + 1))
+    points[0, 1:] = b[::-1].cumsum()[len(b) - m :]
+    points[1, 1:] = a[::-1].cumsum()[len(a) - m :]
+    return points
 
 
 def pad_to_common(a: SchmidtSpectrum, b: SchmidtSpectrum) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:
     """Zero-pad the shorter spectrum so both have the same length."""
-    pair = pad_pair(a, b)
-    return SchmidtSpectrum(pair.a), SchmidtSpectrum(pair.b)
+    return tuple(map(SchmidtSpectrum, pad_pair(a, b)))
 
 
 def aligned_fidelity(tau: SchmidtSpectrum, omega: SchmidtSpectrum) -> float:
@@ -203,8 +209,8 @@ def aligned_fidelity(tau: SchmidtSpectrum, omega: SchmidtSpectrum) -> float:
     Equals (sum_i sqrt(tau_i * omega_i))**2 with both spectra sorted; this is
     the largest |<tau|(U x V)|omega>|**2 over local unitaries U, V.
     """
-    pair = pad_pair(tau, omega)
-    amp = float(np.sqrt(pair.a * pair.b).sum())
+    a, b = pad_pair(tau, omega)
+    amp = float(np.sqrt(a * b).sum())
     return min(1.0, amp * amp)
 
 
@@ -217,10 +223,8 @@ def tensor(a: SchmidtSpectrum, b: SchmidtSpectrum) -> SchmidtSpectrum:
 
 def trace_distance_from_fidelity(f: float) -> float:
     """Trace distance between pure states with overlap f: 2*sqrt(1-f)."""
-    if not -NORMALIZATION_ATOL <= f <= 1.0 + NORMALIZATION_ATOL:  # NaN fails too
-        raise ValueError(f"fidelity out of range [0, 1]: {f!r}")
-    f = min(1.0, max(0.0, f))
-    return 2.0 * math.sqrt(1.0 - f)
+    f = real_in_range(f, "fidelity", -NORMALIZATION_ATOL, 1.0 + NORMALIZATION_ATOL, "[0, 1]")
+    return 2.0 * math.sqrt(1.0 - min(1.0, max(0.0, f)))
 
 
 # Types a JSON number decodes to; true and false decode to bool, not int.

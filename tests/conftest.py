@@ -1,8 +1,22 @@
 """Shared helpers for the test suite."""
 
-import numpy as np
+import math
+from contextlib import contextmanager
 
-from loccxform import BipartiteState, SchmidtSpectrum
+import numpy as np
+import pytest
+
+from loccxform import BipartiteState, SchmidtSpectrum, faithful
+
+PATHS = ("floats", "array")
+
+
+@contextmanager
+def on_path(path: str):
+    """Send every pair down the floats path, or every pair down the array path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(faithful, "_FLOAT_PATH_LEVELS", math.inf if path == "floats" else 0)
+        yield
 
 
 def random_spectrum(rng: np.random.Generator, n: int) -> SchmidtSpectrum:

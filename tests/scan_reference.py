@@ -3,8 +3,10 @@
 ``reference_report`` recomputes a ``TransformReport``'s fields the direct
 way: pad both spectra, rescan all lower levels for every block (O(n) work per
 block), rescale the target block by block, and take the conclusive
-probability and the deterministic verdict from freshly computed partial and
-tail sums.  It shares no code with ``loccxform.faithful``.
+probability (``reference_conclusive``), the conclusive predicate
+(``reference_weak_submajorizes``) and the deterministic verdict from freshly
+computed partial sums and tail sums at every level.  It shares no code with
+``loccxform.faithful``.
 """
 
 from __future__ import annotations
@@ -46,13 +48,40 @@ def reference_segments(ta: np.ndarray, tb: np.ndarray, n: int) -> list[tuple[int
     return segments
 
 
-def reference_report(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> dict:
-    """The fields of ``optimal_fidelity(alpha, beta)``, computed directly."""
+def padded(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Both spectra zero-padded to the longer length."""
     size = max(len(alpha), len(beta))
     a = np.zeros(size)
     b = np.zeros(size)
     a[: len(alpha)] = alpha.probs
     b[: len(beta)] = beta.probs
+    return a, b
+
+
+def full_tails(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Both padded spectra's tail sums at every level, beta's zero tails too."""
+    a, b = padded(alpha, beta)
+    return np.cumsum(a[::-1])[::-1], np.cumsum(b[::-1])[::-1]
+
+
+def reference_conclusive(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> float:
+    """The smallest ratio of the full tails where beta's tail is positive, clamped to [0, 1]."""
+    full_ta, full_tb = full_tails(alpha, beta)
+    mask = full_tb > 0.0
+    with np.errstate(over="ignore"):
+        return float(min(1.0, max(0.0, (full_ta[mask] / full_tb[mask]).min())))
+
+
+def reference_weak_submajorizes(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, p: float) -> bool:
+    """Every full tail of alpha at least p times beta's, within PARTIAL_SUM_TOL."""
+    full_ta, full_tb = full_tails(alpha, beta)
+    return bool(np.all(full_ta >= p * full_tb - PARTIAL_SUM_TOL))
+
+
+def reference_report(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> dict:
+    """The fields of ``optimal_fidelity(alpha, beta)``, computed directly."""
+    a, b = padded(alpha, beta)
+    size = len(a)
     n = max(int(np.sum(a > 0.0)), int(np.sum(b > 0.0)))
     ta = np.cumsum(a[:n][::-1])[::-1]
     tb = np.cumsum(b[:n][::-1])[::-1]
@@ -70,18 +99,13 @@ def reference_report(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> dict:
         prev = start
     xi = SchmidtSpectrum(tuple(float(g) for g in gamma))
 
-    full_ta = np.cumsum(a[::-1])[::-1]
-    full_tb = np.cumsum(b[::-1])[::-1]
-    mask = full_tb > 0.0
-    with np.errstate(over="ignore"):
-        conclusive = float(min(1.0, max(0.0, (full_ta[mask] / full_tb[mask]).min())))
     margin = float((np.cumsum(b) - np.cumsum(a)).min())
 
     return {
         "f_opt": f_opt,
         "xi": xi.probs,
         "trace_distance": trace_distance_from_fidelity(f_opt),
-        "conclusive_p": conclusive,
+        "conclusive_p": reference_conclusive(alpha, beta),
         "deterministic": margin >= -PARTIAL_SUM_TOL,
         "segments": segments,
         "dimension": n,

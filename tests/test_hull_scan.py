@@ -2,27 +2,26 @@
 floats path and the array path."""
 
 import math
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loccxform import SchmidtSpectrum, Staircase, build_staircase, faithful, optimal_fidelity
-from loccxform.spectra import RATIO_TIE_TOL, pad_pair
-from scan_reference import reference_report
+from conftest import PATHS, on_path
+from loccxform import (
+    SchmidtSpectrum,
+    Staircase,
+    build_staircase,
+    conclusive_probability,
+    faithful,
+    optimal_fidelity,
+    weak_submajorizes,
+)
+from loccxform.spectra import RATIO_TIE_TOL, pad_pair, tail_chain
+from scan_reference import reference_conclusive, reference_report, reference_weak_submajorizes
 
 SUBNORMAL = 5e-324
-PATHS = ("floats", "array")
-
-
-@contextmanager
-def on_path(path: str):
-    """Send every pair down the floats path, or every pair down the array path."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(faithful, "_FLOAT_PATH_LEVELS", math.inf if path == "floats" else 0)
-        yield
 
 
 def bits(values) -> bytes:
@@ -180,6 +179,17 @@ def test_fidelity_verdict_is_the_reports_bitwise(path, pair):
     assert deterministic is report.deterministic
 
 
+@given(pair=st.one_of(pairs(), large_pairs()))
+@settings(max_examples=300, deadline=None)
+def test_conclusive_tests_match_the_full_tail_formula_bitwise(pair):
+    # the chain holds only the levels where beta has mass; the full tails
+    # past beta's support constrain neither test
+    p_star = conclusive_probability(*pair)
+    assert bits([p_star]) == bits([reference_conclusive(*pair)])
+    for p in (0.0, 0.3, p_star, 1.0):
+        assert weak_submajorizes(*pair, p) is reference_weak_submajorizes(*pair, p)
+
+
 @pytest.mark.parametrize("offset", [-1, 0], ids=["below", "at"])
 def test_pairs_at_the_float_path_boundary_match_the_reference(offset, monkeypatch):
     # padded length _FLOAT_PATH_LEVELS - 1 takes the floats path, the constant itself the array path
@@ -234,10 +244,8 @@ def test_prepass_keeps_every_block_start(monkeypatch):
     n = 4096
     for _ in range(3):
         alpha, beta = (spectrum(rng.dirichlet(np.ones(n)).tolist()) for _ in range(2))
-        pair = pad_pair(alpha, beta)
-        points = np.zeros((2, n + 1))
-        points[0, 1:] = pair.tb[::-1]
-        points[1, 1:] = pair.ta[::-1]
+        points = tail_chain(*pad_pair(alpha, beta))
+        assert points.shape == (2, n + 1)
         keep, convex = faithful._prune(points)
         stairs = build_staircase(alpha, beta)
         with monkeypatch.context() as patch:

@@ -11,7 +11,7 @@ from loccxform import (
     tensor,
     weak_submajorizes,
 )
-from loccxform.spectra import pad_pair, pad_to_common
+from loccxform.spectra import pad_pair, pad_to_common, tail_chain
 
 BELL = SchmidtSpectrum((0.5, 0.5))
 PRODUCT = SchmidtSpectrum((1.0, 0.0))
@@ -23,10 +23,29 @@ PRODUCT = SchmidtSpectrum((1.0, 0.0))
 
 
 def test_pad_pair_tails_past_the_shorter_spectrum_are_zero():
-    pair = pad_pair(SchmidtSpectrum((0.5, 0.3, 0.2)), SchmidtSpectrum((0.25,) * 4))
-    assert tuple(pair.a) == (0.5, 0.3, 0.2, 0.0)
-    assert tuple(pair.ta) == pytest.approx((1.0, 0.5, 0.2, 0.0), abs=1e-12)
-    assert tuple(pair.tb) == pytest.approx((1.0, 0.75, 0.5, 0.25), abs=1e-12)
+    a, b = pad_pair(SchmidtSpectrum((0.5, 0.3, 0.2)), SchmidtSpectrum((0.25,) * 4))
+    assert tuple(a) == (0.5, 0.3, 0.2, 0.0)
+    assert tuple(b) == (0.25,) * 4
+    # the chain bottom first: the origin, then levels 4..1
+    t_beta, t_alpha = tail_chain(a, b)
+    assert tuple(t_alpha) == pytest.approx((0.0, 0.0, 0.2, 0.5, 1.0), abs=1e-12)
+    assert tuple(t_beta) == pytest.approx((0.0, 0.25, 0.5, 0.75, 1.0), abs=1e-12)
+
+
+def test_tail_chain_stops_at_the_targets_support():
+    # levels past beta's support add no target mass: the chain skips level 4,
+    # and its first level carries alpha's mass on levels 3 and 4
+    a, b = pad_pair(SchmidtSpectrum((0.25,) * 4), SchmidtSpectrum((0.5, 0.3, 0.2)))
+    assert tuple(b) == (0.5, 0.3, 0.2, 0.0)
+    t_beta, t_alpha = tail_chain(a, b)
+    assert tuple(t_beta) == pytest.approx((0.0, 0.2, 0.5, 1.0), abs=1e-12)
+    assert tuple(t_alpha) == pytest.approx((0.0, 0.5, 0.75, 1.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_tail_chain_of_an_all_zero_target_raises(size):
+    with pytest.raises(ValueError, match="^target spectrum is all zero$"):
+        tail_chain(np.eye(size)[0], np.zeros(size))
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,20 @@ from hypothesis import strategies as st
 from conftest import random_state
 from loccxform import (
     BipartiteState,
+    GridSpec,
     SchmidtSpectrum,
     aligned_fidelity,
     optimal_fidelity,
     pad_to_common,
     parse_state_dict,
+    robustness_interval,
     schmidt_spectrum,
     tensor,
     trace_distance_from_fidelity,
+    weak_submajorizes,
 )
 from loccxform.oracle import _batch_random_unitaries
-from loccxform.spectra import NORMALIZATION_ACCEPT, NORMALIZATION_ATOL, pad_pair
+from loccxform.spectra import NORMALIZATION_ACCEPT, NORMALIZATION_ATOL, pad_pair, tail_chain
 from spectrum_reference import reference_spectrum
 
 
@@ -217,9 +220,9 @@ def test_large_spectra_skip_the_exact_sum(monkeypatch):
 def test_uniform_and_padding():
     u = SchmidtSpectrum.uniform(4)
     assert u.probs.tolist() == [0.25, 0.25, 0.25, 0.25]
-    pair = pad_pair(SchmidtSpectrum((1.0,)), u, size=5)
-    assert pair.a.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
-    assert pair.b.tolist() == [0.25, 0.25, 0.25, 0.25, 0.0]
+    a, b = pad_pair(SchmidtSpectrum((1.0,)), u, size=5)
+    assert a.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert b.tolist() == [0.25, 0.25, 0.25, 0.25, 0.0]
     assert SchmidtSpectrum((1.0, 0.0, 0.0)).nonzero_count == 1
 
 
@@ -279,8 +282,8 @@ def test_rectangular_spectrum_matches_the_zero_padded_square_one():
             square[:m, :n] = amps
             rect = schmidt_spectrum(BipartiteState(amps))
             assert len(rect) == min(m, n)
-            pair = pad_pair(rect, schmidt_spectrum(BipartiteState(square)))
-            assert np.max(np.abs(pair.a - pair.b)) <= NORMALIZATION_ATOL
+            a, b = pad_pair(rect, schmidt_spectrum(BipartiteState(square)))
+            assert np.max(np.abs(a - b)) <= NORMALIZATION_ATOL
 
 
 @pytest.mark.parametrize("shape", [(4,), (1, 2, 2), (2, 2, 2)])
@@ -322,7 +325,8 @@ def test_bipartite_state_dims_is_derived():
 )
 def test_monotones_examples(probs, expected):
     s = SchmidtSpectrum(probs)
-    assert tuple(pad_pair(s, s).ta) == pytest.approx(expected, abs=1e-12)
+    # the chain's T_alpha row holds the origin, then levels m..1
+    assert tuple(tail_chain(*pad_pair(s, s))[1, :0:-1]) == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +427,30 @@ def test_trace_distance_examples(f, expected):
 def test_trace_distance_range_errors(f):
     with pytest.raises(ValueError, match="range"):
         trace_distance_from_fidelity(f)
+
+
+# Each real-valued parameter, by the name its errors give it.
+PAIR = (SchmidtSpectrum((0.8, 0.2)), SchmidtSpectrum((0.5, 0.5)))
+REAL_PARAMETERS = {
+    "trace distance": lambda value: robustness_interval(*PAIR, value),
+    "probability": lambda value: weak_submajorizes(*PAIR, value),
+    "grid step": lambda value: GridSpec(3, value),
+    "fidelity": trace_distance_from_fidelity,
+}
+
+
+@pytest.mark.parametrize("name", REAL_PARAMETERS)
+@pytest.mark.parametrize("value", [True, False, "0.5", None, 0.5j, [0.5]], ids=repr)
+def test_real_parameters_refuse_bools_and_non_numbers(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number: {re.escape(repr(value))}$"):
+        REAL_PARAMETERS[name](value)
+
+
+@pytest.mark.parametrize("name", REAL_PARAMETERS)
+def test_real_parameters_take_ints_and_numpy_floats(name):
+    check = REAL_PARAMETERS[name]
+    assert check(1) == check(1.0)
+    assert check(np.float64(0.5)) == check(0.5)
 
 
 # ---------------------------------------------------------------------------
