@@ -43,6 +43,7 @@ from .spectra import (
     parse_state_dict,
     positive_int,
     schmidt_spectrum,
+    seed_int,
     trace_distance_from_fidelity,
 )
 
@@ -76,6 +77,8 @@ def parse_state_spec(text: str) -> SchmidtSpectrum:
         return schmidt_spectrum(parsed)
     if parsed.resorted:
         name = obj.get("label") or "input"
+        if not (isinstance(name, str) and name.isprintable()):  # keep the warning on one line
+            name = repr(name)
         print(f"warning: {name} spectrum was not sorted; sorted it", file=sys.stderr)
     return parsed
 
@@ -203,8 +206,7 @@ def _cmd_nl_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer: {args.seed!r}")
+    seed = seed_int(args.seed, "--seed")
     trials = positive_int(args.trials, "--trials")
     ensembles = positive_int(args.ensembles, "--ensembles")
     alpha = parse_state_spec(args.psi)
@@ -220,9 +222,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # diagonal representatives of the padded spectra keep dimensions equal
     tau = BipartiteState(np.diag(np.sqrt(a)))
     omega = BipartiteState(np.diag(np.sqrt(b)))
-    sampled = sample_unitary_overlap(tau, omega, trials, args.seed)
+    sampled = sample_unitary_overlap(tau, omega, trials, seed)
     aligned = aligned_fidelity(alpha, beta)
-    worst = max(sample_feasible_ensembles(alpha, beta, ensembles, args.seed))
+    worst = max(sample_feasible_ensembles(alpha, beta, ensembles, seed))
     # The floor is proven for a xi whose partial sums dominate alpha's; tying
     # f_opt to xi's own fidelity makes it bound f_opt - grid from above too.
     grid_ok = (-FIDELITY_SNAP <= report.f_opt - grid and grid >= floor - ORACLE_TOL

@@ -270,8 +270,6 @@ def _short_chain(
     a += [0.0] * (size - len(a))
     b += [0.0] * (size - len(b))
     m = size - b.count(0.0)  # spectra are sorted, so their zeros come last
-    if m == 0:
-        raise ValueError("target spectrum is all zero")
     n = max(size - a.count(0.0), m)
     xs = [0.0, *list(accumulate(reversed(b)))[size - m :]]
     ys = [0.0, *list(accumulate(reversed(a)))[size - m :]]

@@ -24,6 +24,7 @@ from .spectra import (
     pad_pair,
     positive_int,
     real_in_range,
+    seed_int,
 )
 
 DEFAULT_GRID_BUDGET = 10_000_000
@@ -242,6 +243,7 @@ def sample_unitary_overlap(
     numpy and LAPACK build, the same seed gives the same result, bit for bit.
     """
     trials = positive_int(trials, "trials")
+    rng = np.random.default_rng(seed_int(seed))
     n, m_tau, m_omega = len(tau.amplitudes), tau.amplitudes, omega.amplitudes
     if m_tau.shape != (n, n) or m_omega.shape != (n, n):
         raise ValueError(f"states must have equal dimensions, square: {m_tau.shape}, {m_omega.shape}")
@@ -249,7 +251,7 @@ def sample_unitary_overlap(
     u, v = _aligning_pair(m_tau, m_omega)
     eye = np.eye(n)
     best = float(_overlaps(m_tau, m_omega, np.stack([eye, u]), np.stack([eye, v])).max())
-    for block in _sampled_overlaps(m_tau, m_omega, trials, np.random.default_rng(seed)):
+    for block in _sampled_overlaps(m_tau, m_omega, trials, rng):
         best = max(best, float(block.max()))
     return min(1.0, best)
 
@@ -336,10 +338,10 @@ def sample_feasible_ensembles(
     cannot make a row fail, so the final test, kept as the oracle's guard,
     drops none."""
     count = positive_int(count, "count")
+    rng = np.random.default_rng(seed_int(seed))
     a_arr, b_arr = pad_pair(alpha, beta)
     n, k_max, tails_a = len(a_arr), _ENSEMBLE_MAX_BRANCHES, _tail_sums(a_arr)
     cap = max(1, _ENSEMBLE_BATCH_ELEMENTS // (k_max * n))
-    rng = np.random.default_rng(seed)
     values = [aligned_fidelity(alpha, beta)]
     while len(values) < count:
         batch = min(count - len(values), cap)

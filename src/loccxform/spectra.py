@@ -54,6 +54,15 @@ def positive_int(value: object, name: str) -> int:
     return int(value)
 
 
+def seed_int(value: object, name: str = "seed") -> int:
+    """``value`` as a non-negative int for ``np.random.default_rng``, which would read
+    True as 1 and None as fresh entropy; a bool, float, string or None is a ValueError.
+    Every seed is checked here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer: {value!r}")
+    return int(value)
+
+
 def real_in_range(value: float, name: str, low: float, high: float, interval: str) -> float:
     """``value`` if it is a real number (a float skips the slow ABC check) in [low, high], else a
     ValueError naming ``interval``, for a bool or string too.  Every real parameter is checked here."""

@@ -4,12 +4,17 @@ import json
 import math
 import shlex
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import spectra
 from loccxform import (
     BipartiteState,
     SchmidtSpectrum,
@@ -113,6 +118,11 @@ def test_report_rejects_non_finite_and_boolean_input(capsys, psi):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("psi", ['{"amplitudes":[]}', '{"amplitudes":5}'])
+def test_report_rejects_amplitudes_that_are_not_a_matrix(capsys, psi):
+    assert run(capsys, "report", psi, PHI) == (2, "", 'error: "amplitudes" must be a non-empty matrix\n')
 
 
 def test_report_with_noise_bounds(capsys):
@@ -495,7 +505,8 @@ def test_verify_rejects_bad_flag_values(capsys, monkeypatch, flag, value):
     if flag == "--grid-step":  # GridSpec owns the step's range
         assert err == f"error: grid step out of range (0, 1]: {float(value)!r}\n"
     else:
-        assert err.startswith(f"error: {flag} must ")
+        kind = "non-negative" if flag == "--seed" else "positive"
+        assert err == f"error: {flag} must be a {kind} integer: {value}\n"
 
 
 def test_verify_requires_seed(capsys):
@@ -565,6 +576,12 @@ def test_parse_state_spec_label(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(("label", "shown"), [("a\nb", "'a\\nb'"), ("x\u2028", "'x\\u2028'"), (["p"], "['p']")])
+def test_a_label_prints_on_one_line(capsys, label, shown):
+    parse_state_spec(json.dumps({"schmidt": [0.2, 0.8], "label": label}))
+    assert capsys.readouterr().err == f"warning: {shown} spectrum was not sorted; sorted it\n"
+
+
 def test_parse_state_spec_amplitudes_give_the_spectrum(capsys):
     r = math.sqrt(0.5)
     text = json.dumps({"amplitudes": [[[0.0, 0.0], [r, 0.0]], [[r, 0.0], [0.0, 0.0]]]})
@@ -596,3 +613,86 @@ def test_readme_cli_example_exits_zero(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = main(argv)
     assert code == 0, capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# every subcommand, in process, on valid and malformed input
+# ---------------------------------------------------------------------------
+
+NUMBER_JUNK = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.integers(-3, 3),
+    st.sampled_from([5e-324, 1e-310, 1e308, -1e308, math.nan, math.inf, 10**400, -(10**400)]),
+)
+JSON_JUNK = st.recursive(  # nested and ragged lists of anything a JSON value holds
+    st.none() | st.booleans() | st.text(max_size=4) | NUMBER_JUNK,
+    lambda children: st.lists(children, max_size=3),
+    max_leaves=6,
+)
+# amplitude matrices with ragged rows and entries of 1 to 3 numbers
+AMPLITUDE_JUNK = st.lists(st.lists(st.lists(NUMBER_JUNK, min_size=1, max_size=3), max_size=3), max_size=3)
+KEYS = st.sampled_from(["schmidt", "amplitudes", "label", "extra"])
+
+
+@st.composite
+def state_args(draw) -> str:
+    """A state argument: a spectrum of up to 6 levels from the shared generator,
+    as "schmidt" in any order or as diagonal "amplitudes", or JSON-like junk,
+    with missing and extra keys."""
+    kind = draw(st.sampled_from(["schmidt", "schmidt", "amplitudes", "junk object", "junk"]))
+    if kind == "junk":
+        # argparse reads an argument that starts with "-" as an option
+        return draw(st.builds(json.dumps, JSON_JUNK).filter(lambda text: not text.startswith("-")))
+    obj = draw(st.dictionaries(KEYS, JSON_JUNK | AMPLITUDE_JUNK, max_size=2))
+    if kind != "junk object":
+        probs = draw(spectra(6)).probs.tolist()
+        if kind == "schmidt":
+            obj["schmidt"] = draw(st.permutations(probs))
+        else:
+            rows = np.diag(np.sqrt(probs)).tolist()
+            obj["amplitudes"] = [[[x, 0.0] for x in row] for row in rows]
+    return json.dumps(obj)
+
+
+def flag(name: str, values: st.SearchStrategy) -> st.SearchStrategy[list[str]]:
+    """``--name=value`` or nothing; the "=" keeps a negative value from reading as an option."""
+    return st.one_of(st.just([]), values.map(lambda value: [f"{name}={value}"]))
+
+
+POSITIONALS = {"report": 2, "schmidt": 1, "teleport": 1, "dilute": 1, "catalyze": 3, "nl-dist": 2, "verify": 2}
+
+
+@st.composite
+def cli_calls(draw) -> list[str]:
+    """Arguments of one subcommand: states from ``state_args``, and flags of
+    the right type in small ranges."""
+    command = draw(st.sampled_from([*POSITIONALS, "sweep"]))
+    if command == "sweep":
+        bounds = st.floats(-0.2, 1.2)
+        flags = [flag("--phi", state_args()), flag("--start", bounds), flag("--stop", bounds),
+                 flag("--steps", st.integers(-1, 6))]
+        return ["sweep", *chain.from_iterable(map(draw, flags))]
+    argv = [command, *(draw(state_args()) for _ in range(POSITIONALS[command]))]
+    if command == "dilute":
+        argv.insert(1, str(draw(st.integers(-1, 8))))
+    flags = {
+        "report": [flag("--epsilon", st.floats(-0.5, 2.5))],
+        "catalyze": [flag("--epsilon", st.floats(-0.5, 2.5))],
+        "teleport": [flag("--dim", st.integers(-1, 8))],
+        "verify": [st.integers(-2, 2**32).map(lambda seed: [f"--seed={seed}"]), flag("--grid-step", st.floats(0.05, 1.5)),
+                   flag("--trials", st.integers(-1, 7)), flag("--ensembles", st.integers(-1, 3))],
+    }.get(command, [])
+    return [*argv, *chain.from_iterable(map(draw, flags)), *draw(flag("--format", st.sampled_from(["text", "json"])))]
+
+
+@given(argv=cli_calls())
+@settings(max_examples=150, deadline=None)
+def test_every_subcommand_exits_with_a_documented_code_and_message(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    for line in err.getvalue().splitlines():
+        assert line.startswith(("error: ", "i/o error: ", "warning: ")), line
+    if code == 0 and "--format=json" in argv:
+        json.loads(out.getvalue())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PATHS, on_path
+from conftest import PATHS, SUBNORMAL, on_path, spectra
 from loccxform import (
     SchmidtSpectrum,
     Staircase,
@@ -20,9 +20,6 @@ from loccxform import (
 )
 from loccxform.spectra import RATIO_TIE_TOL, pad_pair, tail_chain
 from scan_reference import reference_conclusive, reference_report, reference_weak_submajorizes
-
-SUBNORMAL = 5e-324
-
 
 def bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
@@ -89,42 +86,18 @@ def pairs(draw) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:
 
 
 @st.composite
-def large_raw_spectra(draw) -> list[float]:
-    """Unnormalized coefficients of a few hundred to 1000 levels, long enough
-    for the pre-pass: the kinds of ``raw_spectra``, drawn with numpy from a
-    drawn seed, plus power-law decay (convex chains against a uniform target)."""
-    n = draw(st.integers(200, 1000))
-    kind = draw(st.sampled_from(["random", "rounded", "near_degenerate", "subnormal_tail", "power"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "random":
-        vals = rng.uniform(1e-3, 1.0, n)
-    elif kind == "rounded":
-        units = draw(st.sampled_from([100, 1000]))
-        cuts = np.sort(rng.integers(0, units + 1, n - 1))
-        vals = np.diff(np.concatenate(([0], cuts, [units]))) / units
-    elif kind == "near_degenerate":
-        vals = 1.0 + draw(st.floats(1e-16, 1e-10)) * rng.integers(-3, 4, n)
-    elif kind == "subnormal_tail":
-        tail = draw(st.integers(1, 100))
-        vals = np.concatenate((rng.uniform(1e-3, 1.0, n - tail), rng.integers(1, 1001, tail) * SUBNORMAL))
-    else:
-        vals = (np.arange(1, n + 1) + draw(st.floats(0.5, 1.5))) ** -draw(st.floats(2.0, 4.0))
-    return vals.tolist() + [0.0] * draw(st.integers(0, 3))
-
-
-@st.composite
 def large_pairs(draw) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:
-    a = draw(large_raw_spectra())
+    """A spectrum of 200 to 1000 levels, long enough for the pre-pass, and an
+    independent, perturbed or uniform target."""
+    alpha = draw(spectra(1000, min_n=200))
     target = draw(st.sampled_from(["independent", "perturbed", "uniform"]))
     if target == "independent":
-        b = draw(large_raw_spectra())
-    elif target == "perturbed":
+        return alpha, draw(spectra(1000, min_n=200))
+    if target == "perturbed":
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         eps = 10.0 ** draw(st.floats(-13.0, -10.0))
-        b = (np.array(a) * (1.0 + eps * rng.integers(-3, 4, len(a)))).tolist()
-    else:
-        b = [1.0] * len(a)
-    return spectrum(a), spectrum(b)
+        return alpha, spectrum((alpha.probs * (1.0 + eps * rng.integers(-3, 4, len(alpha)))).tolist())
+    return alpha, SchmidtSpectrum.uniform(len(alpha))
 
 
 def assert_matches_reference(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> None:

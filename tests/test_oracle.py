@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import floored_spectrum, random_spectrum, random_state
+from conftest import floored_spectrum, random_spectrum, random_state, spectra
 from loccxform import (
     BipartiteState,
     GridBudgetError,
@@ -518,16 +518,26 @@ def test_ensembles_count_validation():
     assert len(sample_feasible_ensembles(BELL, BELL, count=np.int32(5), seed=0)) == 5
 
 
-@st.composite
-def zero_padded_spectra(draw) -> SchmidtSpectrum:
-    """Spectra of length 1..6, some ending in zero coefficients."""
-    n = draw(st.integers(1, 6))
-    zeros = draw(st.integers(0, n - 1))
-    vals = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n - zeros, max_size=n - zeros)))
-    return SchmidtSpectrum(tuple(np.sort(vals / vals.sum())[::-1].tolist()) + (0.0,) * zeros)
+@pytest.mark.parametrize("seed", [True, False, 2.5, "3", -1, None], ids=repr)
+def test_both_oracles_refuse_a_seed_that_is_not_a_non_negative_integer(seed):
+    # numpy reads True as 1 and None as fresh entropy, and raises TypeError for 2.5 or "3"
+    tau = diagonal_state(BELL)
+    message = f"seed must be a non-negative integer: {seed!r}"
+    with pytest.raises(ValueError) as sampled:
+        sample_unitary_overlap(tau, tau, trials=10, seed=seed)
+    with pytest.raises(ValueError) as ensembles:
+        sample_feasible_ensembles(BELL, BELL, count=5, seed=seed)
+    assert str(sampled.value) == str(ensembles.value) == message
 
 
-@given(zero_padded_spectra(), zero_padded_spectra(), st.integers(0, 2**31 - 1))
+def test_both_oracles_take_numpy_integer_seeds():
+    alpha = SchmidtSpectrum((0.7, 0.3))
+    tau, omega = diagonal_state(alpha), diagonal_state(BELL)
+    assert sample_unitary_overlap(tau, omega, 10, np.uint64(3)) == sample_unitary_overlap(tau, omega, 10, 3)
+    assert sample_feasible_ensembles(alpha, BELL, 5, np.int32(7)) == sample_feasible_ensembles(alpha, BELL, 5, 7)
+
+
+@given(spectra(6), spectra(6), st.integers(0, 2**31 - 1))
 @settings(max_examples=100, deadline=None)
 def test_batched_ensembles_start_with_do_nothing_and_stay_below_optimum(alpha, beta, seed):
     values = sample_feasible_ensembles(alpha, beta, count=300, seed=seed)

@@ -4,9 +4,9 @@ and in the target, a source epsilon away moves the reachable trace distance
 by at most epsilon, a catalyst never hurts, f is supermultiplicative under
 tensor products, and xi dominates alpha with f = aligned(xi, beta).
 
-Hypothesis draws pairs of up to 64 levels, a few seeded pairs run at 1024 and
-4096 levels.  Every bound on f holds within ``ORACLE_TOL``, and every bound
-on a trace distance within what that tolerance allows a square root."""
+Hypothesis draws pairs of up to 64 levels of every kind ``conftest.spectra``
+makes, a few seeded pairs run at 1024 and 4096 levels.  Every bound on f holds
+within ``ORACLE_TOL``, and the robustness bound within ``DISTANCE_SLACK``."""
 
 import math
 
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PATHS, dominating_spectrum, on_path
+from conftest import PATHS, dominating_spectrum, draw_spectrum, on_path, spectra
 from loccxform import (
     SchmidtSpectrum,
     aligned_fidelity,
@@ -25,32 +25,7 @@ from loccxform import (
     tensor,
     trace_distance_from_fidelity,
 )
-from loccxform.spectra import ORACLE_TOL
-
-KINDS = ("dirichlet", "rounded", "subnormal_tail", "padded")
-
-
-def draw_spectrum(rng: np.random.Generator, n: int, kind: str) -> SchmidtSpectrum:
-    """An n-level spectrum of one kind: Dirichlet 0.2, 1 or 5; 2-decimal
-    coefficients (exact ties); a subnormal tail; or trailing zeros."""
-    if kind == "rounded":
-        cuts = np.sort(rng.integers(0, 101, n - 1))
-        v = np.diff(np.concatenate(([0], cuts, [100]))) / 100
-    elif kind == "subnormal_tail" and n > 1:
-        tail = int(rng.integers(1, min(n, 4)))
-        v = np.concatenate((rng.uniform(1e-3, 1.0, n - tail), rng.integers(1, 1001, tail) * 5e-324))
-    else:
-        v = rng.dirichlet(np.full(n, rng.choice([0.2, 1.0, 5.0])))
-        if kind == "padded":
-            v[int(rng.integers(1, n + 1)) :] = 0.0
-    v = np.sort(v)[::-1]
-    return SchmidtSpectrum(v / v.sum())
-
-
-@st.composite
-def spectra(draw, max_n: int = 64) -> SchmidtSpectrum:
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return draw_spectrum(rng, draw(st.integers(1, max_n)), draw(st.sampled_from(KINDS)))
+from loccxform.spectra import FIDELITY_SNAP, ORACLE_TOL, pad_pair
 
 
 def targets(max_n: int = 64):
@@ -81,22 +56,34 @@ def check_monotone(alpha, beta, rng) -> None:
     assert f(alpha, beta2) >= base - ORACLE_TOL, "a less entangled target was reached less well"
 
 
-# A trace distance 2 sqrt(1 - F) of a fidelity F within ORACLE_TOL is within
-# this, as |sqrt(x) - sqrt(y)| <= sqrt(|x - y|); it covers FIDELITY_SNAP too.
-DISTANCE_TOL = 2 * math.sqrt(ORACLE_TOL)
+def aligned_distance(alpha: SchmidtSpectrum, alpha2: SchmidtSpectrum) -> float:
+    """2 sqrt(1 - A**2), A = sum sqrt(a b), without the cancellation of 1 - A**2 in floats:
+    1 - A**2 = (1 - A)(1 + A), and 1 - A = sum (sqrt(a) - sqrt(b))**2 / 2 for normalized a, b."""
+    a, b = pad_pair(alpha, alpha2)
+    ra, rb = np.sqrt(a), np.sqrt(b)
+    return 2.0 * math.sqrt(math.fsum(((ra - rb) ** 2).tolist()) / 2 * (1.0 + math.fsum((ra * rb).tolist())))
+
+
+# sqrt(1 - F) is a metric that LOCC channels do not increase, so a source epsilon away moves
+# the exact distance to any target by at most epsilon, which aligned_distance gives without
+# cancellation.  The error is in the two report distances compared: each is 2 sqrt(1 - f) of
+# an f within FIDELITY_SNAP (it snaps to 1) plus its rounding, n eps for n <= 4096 levels, of
+# the exact fidelity, so within 2 sqrt(FIDELITY_SNAP + 4096 eps) ~ 2.8e-6 of the exact
+# distance, as |sqrt(x) - sqrt(y)| <= sqrt(|x - y|).  FIDELITY_SNAP keeps this from n eps.
+DISTANCE_SLACK = 2 * 2 * math.sqrt(FIDELITY_SNAP + 4096 * np.finfo(float).eps)
+
+
+def assert_in_robustness_interval(alpha, alpha2, target, t) -> None:
+    lower, upper = robustness_interval(alpha, target, aligned_distance(alpha, alpha2))
+    assert lower - DISTANCE_SLACK <= t <= upper + DISTANCE_SLACK, "the distance moved more than epsilon"
 
 
 def check_robustness(alpha, beta, rng) -> None:
-    # sqrt(1 - F) is a metric that LOCC channels do not increase; three
-    # distances enter the comparison, each within DISTANCE_TOL.  With alpha2
-    # itself as the target the lower end is sharp where doing nothing is
-    # alpha's best conversion toward alpha2.
+    # with alpha2 itself as the target the lower end is sharp where doing
+    # nothing is alpha's best conversion toward alpha2
     alpha2 = perturbed(rng, alpha)
-    epsilon = trace_distance_from_fidelity(aligned_fidelity(alpha, alpha2))
     for target in (beta, alpha2):
-        lower, upper = robustness_interval(alpha, target, epsilon)
-        t = optimal_fidelity(alpha2, target).trace_distance
-        assert lower - 3 * DISTANCE_TOL <= t <= upper + 3 * DISTANCE_TOL, "the distance moved more than epsilon"
+        assert_in_robustness_interval(alpha, alpha2, target, optimal_fidelity(alpha2, target).trace_distance)
 
 
 def check_catalysis(alpha, beta, eta) -> None:
@@ -172,3 +159,26 @@ def test_properties_hold_on_large_pairs(path, n):
             check_catalysis(alpha, beta, eta)
             check_supermultiplicative(alpha, beta, *small)
             check_xi(alpha, beta)
+
+
+def test_a_reachable_distance_widened_by_1e_5_fails_the_robustness_check():
+    # alpha2 within 1e-8 of alpha: its distance to itself is 0, and the interval ends near 1e-8
+    alpha = SchmidtSpectrum((0.5, 0.3, 0.2))
+    alpha2 = SchmidtSpectrum(alpha.probs * (1.0 + 1e-8 * np.array([1.0, -1.0, -1.0])))
+    t = optimal_fidelity(alpha2, alpha2).trace_distance
+    assert_in_robustness_interval(alpha, alpha2, alpha2, t)
+    with pytest.raises(AssertionError, match="moved more than epsilon"):
+        assert_in_robustness_interval(alpha, alpha2, alpha2, t + 1e-5)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_robustness_holds_where_one_minus_the_aligned_fidelity_cancels(path):
+    # 1 - F rounds to 0 here, so the distance from the fidelity reads 0; the
+    # reachable distance to beta moves by 6.0e-10
+    alpha, alpha2 = SchmidtSpectrum((1.0, 3.137e-321)), SchmidtSpectrum((1.0 - 9.8e-20, 9.8e-20))
+    beta = SchmidtSpectrum((0.92, 0.08))
+    assert trace_distance_from_fidelity(aligned_fidelity(alpha, alpha2)) == 0.0
+    assert aligned_distance(alpha, alpha2) == pytest.approx(2 * math.sqrt(9.8e-20), rel=1e-12)
+    with on_path(path):
+        for target in (beta, alpha2):
+            assert_in_robustness_interval(alpha, alpha2, target, optimal_fidelity(alpha2, target).trace_distance)
