@@ -57,20 +57,21 @@ def parse_state_spec(text: str) -> SchmidtSpectrum:
     """Parse a state argument (inline JSON, or a path to a JSON file) into its
     spectrum, taking the SVD of amplitude input.  A spectrum given unsorted is
     sorted with a warning on stderr that names the state's optional "label".
-    An argument that is not an existing file and does not start with "{"
-    raises FileNotFoundError.
+    An argument that is not an existing file is inline JSON when it decodes
+    or starts with "{" (a JSON value that is not an object is then a
+    ValueError); any other argument raises FileNotFoundError.
     """
     path = Path(text)
     try:
         is_file = path.is_file()
     except OSError:  # e.g. inline JSON longer than the system's name limit
         is_file = False
-    if not is_file and not text.lstrip().startswith("{"):
-        raise FileNotFoundError(f"no state file {text!r}, and not an inline JSON object")
     raw = path.read_text(encoding="utf-8") if is_file else text
     try:
         obj = json.loads(raw)
     except (ValueError, RecursionError) as exc:  # nesting too deep, an integer past the digit limit
+        if not is_file and not text.lstrip().startswith("{"):
+            raise FileNotFoundError(f"no state file {text!r}, and not inline JSON") from None
         raise ValueError(f"malformed state JSON: {exc}") from exc
     parsed = parse_state_dict(obj)
     if isinstance(parsed, BipartiteState):

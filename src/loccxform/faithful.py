@@ -54,6 +54,43 @@ then the same among the survivors, the next vertex is a survivor, and the
 pass over the survivors gives the same vertices, so the same blocks bit for
 bit.  A slope that overflows to inf makes the band inf, and P is kept.
 
+Record tests.  Right after the first round, each survivor P is compared once
+with running extrema over the other survivors.  With s = y / x a point's
+slope from the origin, E the last point and e a point's slope to E, P is
+dropped when s_P exceeds the smallest s of a later survivor by more than
+RATIO_TIE_TOL + 64 eps s_P (origin test), or when the largest e of an
+earlier survivor, e_max, exceeds e_P by more than
+(RATIO_TIE_TOL + 64 eps) x_P / (x_E - x_P) + 64 eps e_max (end test).
+
+Why no vertex is dropped.  Let H be the exact lower hull; the origin and E
+are its vertices.  If a point V lies d >= 0 above H, the line from V at the
+smallest slope from V stays within d of H to the right of V: up to the next
+hull vertex G it runs under the chord VG, which is within d of H since H is
+straight there, and past G its slope is at most H's.  So the scan's pick W
+from V lies within d + RATIO_TIE_TOL (x_W - x_V) of H, and the farthest point
+of smallest slope within d, up to rounding.  From the origin on, every scan
+vertex and every smallest-slope point P therefore lies within
+RATIO_TIE_TOL x_P + 5 eps (y_P + RATIO_TIE_TOL x_P) of H: each step's slope
+rounding adds under 5 eps (sigma + RATIO_TIE_TOL)(x_W - x_V), sigma being the
+step's smallest slope, and the steps' sigma (x_W - x_V) add up to at most y_P.
+As H(x) <= x y_E / x_E, with y_E / x_E = 1 up to rounding, that is under
+(RATIO_TIE_TOL + 6 eps) x_P.  Origin test: H is convex with H(0) = 0, so
+H(x) / x never decreases, and a later R has s_R >= H(x_R) / x_R >= H(x_P) /
+x_P, so s_P exceeds s_R by under RATIO_TIE_TOL + 5 eps (s_P + RATIO_TIE_TOL);
+with the rounding of the quotients and of the test, under RATIO_TIE_TOL +
+13 eps s_P (a dropped P has s_P > RATIO_TIE_TOL).  End test: the chord slope
+(y_E - H(x)) / (x_E - x) never decreases in x, and an earlier Q lies on or
+above H, so e_Q <= e_P + (RATIO_TIE_TOL + 6 eps) x_P / (x_E - x_P); rounding
+adds under 7 eps x_P / (x_E - x_P) + 5 eps e_max in all.  The bands cover
+both with room, so every such P passes both tests, and the pre-pass argument
+holds as written: the pass over the survivors gives the same vertices bit
+for bit.  A slope from the origin that overflows to inf keeps its point, and
+the smallest later one is finite, being at most E's, about 1; slopes to E
+cannot overflow, as x_E - x_P is at least half an ulp of x_E, about 1.  In
+exact arithmetic every point after a scan vertex has a larger s than the
+vertex, so the origin band's RATIO_TIE_TOL only guards rounding; ties near E
+make the end band's x_P / (x_E - x_P) term needed.
+
 Convex short-circuit.  If a round drops nothing and every P with neighbours
 L and R has o - t > e * (1 + p / q), the chain is convex with room.  In exact
 arithmetic slope(L, Q) >= slope(L, R) for every Q beyond P, and
@@ -61,7 +98,7 @@ slope(L, R) - t = (o - t) q / (p + q) > e, which exceeds ``RATIO_TIE_TOL``
 plus the rounding in the scan's comparison.  So from each point the next one
 is the only point within the ties: every point is a vertex, and no Python
 loop runs.  The one-block-per-level worst case (cubic decay into uniform,
-n = 4096) takes this path after one round.
+n = 4096) takes this path after one round, before the record tests run.
 
 Two paths.  A pair padded to fewer than ``_FLOAT_PATH_LEVELS`` levels takes
 the floats path: Python lists, tail and prefix sums added one level at a
@@ -101,7 +138,7 @@ _FLOAT_PATH_LEVELS = 36
 # Chains with fewer points skip the pre-pass, and its rounds stop below it:
 # there a round costs more than the hull loop it saves (crossover in CHANGES.md).
 _PREPASS_MIN_POINTS = 64
-# Rounding slack of the pre-pass band, relative to the slopes (see above).
+# Rounding slack of the pre-pass and record-test bands, relative to the slopes (see above).
 _SLOPE_SLACK = 64 * np.finfo(float).eps
 
 
@@ -158,13 +195,31 @@ class TransformReport:
     staircase: Staircase
 
 
+def _records(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the chain points, x and y, that pass the origin and end
+    record tests of the module docstring; the ends always pass."""
+    s = y[1:] / x[1:]  # slopes from the origin; the last point's is about 1
+    run = x[-1] - x[:-1]
+    e = (y[-1] - y[:-1]) / run  # slopes to the last point
+    # the smallest s from each point on and the largest e up to it: a point's
+    # own value counts too, which never drops it
+    later = np.minimum.accumulate(s[::-1])[:0:-1]
+    earlier = np.maximum.accumulate(e)[1:]
+    s, e = s[:-1], e[1:]
+    drop = s - later > RATIO_TIE_TOL + _SLOPE_SLACK * s
+    drop |= earlier - e > (RATIO_TIE_TOL + _SLOPE_SLACK) * (x[1:-1] / run[1:]) + _SLOPE_SLACK * earlier
+    return np.flatnonzero(np.concatenate(([True], ~drop, [True])))
+
+
 def _prune(points: np.ndarray) -> tuple[np.ndarray, bool]:
     """Indices of the points the pre-pass keeps, and whether all are vertices.
 
     ``points`` holds the chain bottom first, x in row 0 and y in row 1; the
-    ends are kept.  Rounds go on while ``_PREPASS_MIN_POINTS`` or more points
-    are left and the last round dropped at least an eighth of them; past
-    that, the next rounds save less hull-loop time than they cost.
+    ends are kept.  The record tests run once, after the first round.  Rounds
+    go on while ``_PREPASS_MIN_POINTS`` or more points are left and the last
+    round, with the record tests after the first, dropped at least an eighth
+    of them; past that, the next rounds save less hull-loop time than they
+    cost.
     """
     keep = np.arange(points.shape[1])
     x, y = points
@@ -176,12 +231,14 @@ def _prune(points: np.ndarray) -> tuple[np.ndarray, bool]:
             t, o, p, q = slope[:-1], slope[1:], dx[:-1], dx[1:]
             band = 2.0 * RATIO_TIE_TOL + _SLOPE_SLACK * (t + o)
             concave = t - o > band * (1.0 + x[:-2] / p + x[2:] / q)
-            dropped = int(np.count_nonzero(concave))
-            if not dropped:
+            if not concave.any():
                 return keep, bool(np.all(o - t > band * (1.0 + p / q)))
             rest = np.flatnonzero(np.concatenate(([True], ~concave, [True])))
+            if len(keep) == points.shape[1]:  # the first round: later ones start with fewer points
+                rest = rest.take(_records(x.take(rest), y.take(rest)))
+            shrunk = 8 * len(rest) <= 7 * len(keep)
             keep, x, y = keep.take(rest), x.take(rest), y.take(rest)
-            if 8 * dropped < len(keep) + dropped:
+            if not shrunk:
                 break
     return keep, False
 

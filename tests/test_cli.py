@@ -196,6 +196,23 @@ def test_missing_state_file_is_an_io_error(tmp_path, capsys):
     assert err.startswith("i/o error:") and missing in err
 
 
+@pytest.mark.parametrize("psi", ["[0.5,0.5]", "null", "5", '"x"'])
+def test_inline_json_that_is_not_an_object_is_a_validation_error(tmp_path, monkeypatch, capsys, psi):
+    monkeypatch.chdir(tmp_path)  # no file of any of these names
+    code, out, err = run(capsys, "report", psi, '{"schmidt":[1]}')
+    assert code == 2
+    assert out == ""
+    assert err == "error: state must be a JSON object\n"
+
+
+def test_missing_relative_state_file_that_is_not_json_is_an_io_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "report", "nofile.json", '{"schmidt":[1]}')
+    assert code == 3
+    assert out == ""
+    assert err.startswith("i/o error:") and "'nofile.json'" in err
+
+
 def test_inline_state_with_leading_whitespace(capsys):
     code, out, _ = run(capsys, "report", "\n  " + PSI, PHI, "--format", "json")
     assert code == 0

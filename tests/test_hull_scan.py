@@ -189,20 +189,28 @@ def test_pairs_at_the_float_path_boundary_match_the_reference(offset, monkeypatc
 
 def test_prepass_keeps_vertices_of_near_tied_pairs():
     # tail ratios within a few 1e-12 of each other: a pre-pass whose band
-    # lacks its x_L / p factor drops vertices of the tie-tolerant hull here
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        beta = rng.dirichlet(np.ones(200))
-        alpha = beta * (1.0 + 3e-12 * rng.integers(-3, 4, 200))
-        assert_matches_reference(spectrum(alpha.tolist()), spectrum(beta.tolist()))
+    # lacks its x_L / p factor drops vertices of the tie-tolerant hull at
+    # n = 200; within a few 1e-11, an end record test whose band lacks its
+    # x_P / (x_E - x_P) factor drops vertices near the top at n = 400
+    for n, eps, seeds in ((200, 3e-12, 5), (400, 3e-11, 8)):
+        for seed in range(seeds):
+            rng = np.random.default_rng(seed)
+            beta = rng.dirichlet(np.ones(n))
+            alpha = beta * (1.0 + eps * rng.integers(-3, 4, n))
+            assert_matches_reference(spectrum(alpha.tolist()), spectrum(beta.tolist()))
 
 
 def test_worst_case_has_one_block_per_level(monkeypatch):
-    # the convex short-circuit settles it without the per-level hull loop
+    # the convex short-circuit settles it after one round, before the record
+    # tests and without the per-level hull loop
     def hull_loop(xs, ys):
         raise AssertionError("the convex chain entered the per-level hull loop")
 
+    def records(x, y):
+        raise AssertionError("the convex chain reached the record tests")
+
     monkeypatch.setattr(faithful, "_hull_vertices", hull_loop)
+    monkeypatch.setattr(faithful, "_records", records)
     n = 4096
     source = (np.arange(1, n + 1) + 1.0) ** -3.0
     alpha = SchmidtSpectrum(tuple((source / source.sum()).tolist()))
@@ -210,6 +218,30 @@ def test_worst_case_has_one_block_per_level(monkeypatch):
     assert_staircase_invariants(stairs)
     assert len(stairs.segments) == stairs.dimension == n
     assert [s.start for s in stairs.segments] == list(range(n, 0, -1))
+
+
+@st.composite
+def near_tied_pairs(draw) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:
+    """A spectrum of 200 to 1000 levels and a target within a few 1e-12 of it, relatively."""
+    alpha = draw(spectra(1000, min_n=200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return alpha, spectrum((alpha.probs * (1.0 + 1e-12 * rng.integers(-3, 4, len(alpha)))).tolist())
+
+
+@given(pair=st.one_of(large_pairs(), near_tied_pairs()))
+@settings(max_examples=100, deadline=None)
+def test_record_tests_keep_every_block_start(pair):
+    # on the whole chain, so on every sub-chain the pre-pass hands them: a
+    # later minimum or an earlier maximum over fewer points drops no more
+    points = tail_chain(*pad_pair(*pair))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(faithful, "_records", lambda x, y: np.arange(len(x)))
+        without = build_staircase(*pair)
+    with np.errstate(over="ignore", invalid="ignore"):  # as the pre-pass calls it
+        kept = faithful._records(*points)
+    assert kept[0] == 0 and kept[-1] == points.shape[1] - 1
+    assert set(without.starts.tolist()) <= set((points.shape[1] - kept).tolist())
+    assert bits(build_staircase(*pair).segments) == bits(without.segments)
 
 
 def test_prepass_keeps_every_block_start(monkeypatch):
