@@ -50,7 +50,6 @@ from .spectra import (
     parse_state_dict,
     schmidt_spectrum,
     tensor,
-    trace_distance_from_fidelity,
 )
 
 __version__ = "0.1.0"
@@ -87,6 +86,5 @@ __all__ = [
     "schmidt_spectrum",
     "teleportation_fidelity",
     "tensor",
-    "trace_distance_from_fidelity",
     "weak_submajorizes",
 ]

@@ -10,7 +10,7 @@ import numpy as np
 
 # bench/run.py's trace counts the reports this module builds through the name optimal_fidelity
 from .faithful import fidelity_verdict, optimal_fidelity  # noqa: F401
-from .spectra import SchmidtSpectrum, positive_int, real_in_range, tensor, trace_distance_from_fidelity
+from .spectra import SchmidtSpectrum, positive_int, real_in_range, tensor
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,8 @@ def catalysis_check(
     Compares the bare conversion with the one on the composite spectra
     alpha(x)eta -> beta(x)eta; the ancilla comes back intact either way.
     """
-    f_bare, convertible_bare = fidelity_verdict(alpha, beta)
-    f_catalyzed, convertible_catalyzed = fidelity_verdict(tensor(alpha, eta), tensor(beta, eta))
-    t_bare = trace_distance_from_fidelity(f_bare)
-    t_catalyzed = trace_distance_from_fidelity(f_catalyzed)
+    _, t_bare, convertible_bare = fidelity_verdict(alpha, beta)
+    _, t_catalyzed, convertible_catalyzed = fidelity_verdict(tensor(alpha, eta), tensor(beta, eta))
     return CatalysisReport(
         convertible_bare=convertible_bare,
         convertible_with_catalyst=convertible_catalyzed,
@@ -112,8 +110,7 @@ def robustness_interval(
     epsilon is the trace distance between the corrupted input and alpha; the
     reachable distance can move by at most that much in either direction.
     """
-    f_opt, _ = fidelity_verdict(alpha, beta)
-    return widen_trace_distance(trace_distance_from_fidelity(f_opt), epsilon)
+    return widen_trace_distance(fidelity_verdict(alpha, beta)[1], epsilon)
 
 
 def widen_trace_distance(t_opt: float, epsilon: float) -> tuple[float, float]:
@@ -122,16 +119,22 @@ def widen_trace_distance(t_opt: float, epsilon: float) -> tuple[float, float]:
     return max(0.0, t_opt - epsilon), min(2.0, t_opt + epsilon)
 
 
+def nonlocal_fidelity_and_distance(a: SchmidtSpectrum, b: SchmidtSpectrum) -> tuple[float, float]:
+    """``nonlocal_fidelity`` and ``nonlocal_trace_distance`` from one conversion each way."""
+    (f_ab, t_ab, _), (f_ba, t_ba, _) = fidelity_verdict(a, b), fidelity_verdict(b, a)
+    return min(f_ab, f_ba), max(t_ab, t_ba)
+
+
 def nonlocal_fidelity(a: SchmidtSpectrum, b: SchmidtSpectrum) -> float:
     """Similarity of two states' correlations: the worse of the two directed
     optimal conversion fidelities."""
-    return min(fidelity_verdict(a, b)[0], fidelity_verdict(b, a)[0])
+    return nonlocal_fidelity_and_distance(a, b)[0]
 
 
 def nonlocal_trace_distance(a: SchmidtSpectrum, b: SchmidtSpectrum) -> float:
-    """Metric induced by the non-local fidelity: 2*sqrt(1 - F_nl).
+    """Metric induced by the non-local fidelity: 2*sqrt(1 - F_nl), the larger directed distance.
 
     Symmetric, zero exactly for equal spectra, and obeys the triangle
     inequality, once states with equal Schmidt coefficients are identified.
     """
-    return trace_distance_from_fidelity(nonlocal_fidelity(a, b))
+    return nonlocal_fidelity_and_distance(a, b)[1]

@@ -17,7 +17,7 @@ from .applications import (
     checked_trace_distance,
     concentration_fidelity,
     dilution_fidelity,
-    nonlocal_fidelity,
+    nonlocal_fidelity_and_distance,
     resolve_dimension,
     robustness_of_entanglement,
     teleportation_fidelity,
@@ -33,7 +33,7 @@ from .oracle import (
     sample_unitary_overlap,
 )
 from .spectra import (
-    FIDELITY_SNAP,
+    NORMALIZATION_ATOL,
     ORACLE_TOL,
     SAMPLED_OVERLAP_TOL,
     BipartiteState,
@@ -44,7 +44,6 @@ from .spectra import (
     positive_int,
     schmidt_spectrum,
     seed_int,
-    trace_distance_from_fidelity,
 )
 
 EXIT_OK = 0
@@ -197,11 +196,8 @@ def _cmd_catalyze(args: argparse.Namespace) -> int:
 def _cmd_nl_dist(args: argparse.Namespace) -> int:
     a = parse_state_spec(args.a)
     b = parse_state_spec(args.b)
-    fidelity = nonlocal_fidelity(a, b)
-    payload = {
-        "nonlocal_fidelity": fidelity,
-        "nonlocal_trace_distance": trace_distance_from_fidelity(fidelity),
-    }
+    fidelity, distance = nonlocal_fidelity_and_distance(a, b)
+    payload = {"nonlocal_fidelity": fidelity, "nonlocal_trace_distance": distance}
     _print_payload(payload, args.format)
     return EXIT_OK
 
@@ -228,7 +224,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     worst = max(sample_feasible_ensembles(alpha, beta, ensembles, seed))
     # The floor is proven for a xi whose partial sums dominate alpha's; tying
     # f_opt to xi's own fidelity makes it bound f_opt - grid from above too.
-    grid_ok = (-FIDELITY_SNAP <= report.f_opt - grid and grid >= floor - ORACLE_TOL
+    grid_ok = (-NORMALIZATION_ATOL <= report.f_opt - grid and grid >= floor - ORACLE_TOL
                and report.f_opt <= aligned_fidelity(report.xi, beta) + ORACLE_TOL
                and majorizes(alpha, report.xi).deterministic)
     rows = [  # claim, theorem value, oracle value, pass

@@ -10,6 +10,16 @@ hull edge's slope, the ratio of the source mass to the target mass on the
 block.  The rescaled target is the closest state the source can reach, and
 the achieved overlap is (sum over blocks of sqrt(source mass * target mass))**2.
 
+Fidelity and distance.  Only the deterministic verdict (``majorizes``, read
+from the same chain) sets f_opt = 1 and distance 0.  Other pairs report the
+fidelity F and distance 2 sqrt(1 - F) of their normalised blocks S_k / s,
+T_k / t (s, t the sums of the masses S_k, T_k): as u = sum_k (sqrt(S_k) -
+sqrt(T_k))**2 / 2 = sqrt(s t) (1 - sqrt(F)) + (sqrt(s) - sqrt(t))**2 / 2,
+w = u - (s - t)**2 / 8 is 1 - sqrt(F) to a relative |sqrt(s t) - 1|, f_opt =
+(1 - w)**2 and the distance 2 sqrt(w (2 - w)).  No step cancels: a root
+difference is (S_k - T_k) / (sqrt(S_k) + sqrt(T_k)).  Where w is below a
+quarter ulp of 1, f_opt reads 1.0 though the distance is positive.
+
 The hull is built by one monotone-chain pass over the levels, bottom first
 (A. M. Andrew, Inf. Process. Lett. 9, 216 (1979)), so a pair costs O(n) even
 when every level is its own block.  Two rules fix the hull where floating
@@ -101,13 +111,12 @@ loop runs.  The one-block-per-level worst case (cubic decay into uniform,
 n = 4096) takes this path after one round, before the record tests run.
 
 Two paths.  A pair padded to fewer than ``_FLOAT_PATH_LEVELS`` levels takes
-the floats path: Python lists, tail and prefix sums added one level at a
-time, the hull pass above, ``math.sqrt`` and ``math.fsum``; only the
-staircase's columns and xi become arrays.  Longer pairs take the array path,
-with the pre-pass.  Both paths do the same floating-point operations in the
-same order (numpy's cumsum adds one element at a time, and its sqrt and
-division round as Python's do), so they agree bit for bit on every field of
-the report.
+the floats path: Python lists, tail sums added one level at a time, the hull
+pass above, ``math.sqrt`` and ``math.fsum``; only the staircase's columns
+and xi become arrays.  Longer pairs take the array path, with the pre-pass.
+Both paths do the same floating-point operations in the same order (numpy's
+cumsum adds one element at a time, and its sqrt and division round as
+Python's do), so they agree bit for bit on every field of the report.
 """
 
 from __future__ import annotations
@@ -116,21 +125,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import itemgetter, mul, sub, truediv
-from typing import Iterable, NamedTuple
+from operator import add, itemgetter, mul, sub, truediv
+from typing import NamedTuple
 
 import numpy as np
 
 from .majorization import tail_ratio_min, verdict
-from .spectra import (
-    FIDELITY_SNAP,
-    PARTIAL_SUM_TOL,
-    RATIO_TIE_TOL,
-    SchmidtSpectrum,
-    pad_pair,
-    tail_chain,
-    trace_distance_from_fidelity,
-)
+from .spectra import PARTIAL_SUM_TOL, RATIO_TIE_TOL, SchmidtSpectrum, pad_pair, tail_chain
 
 # Pairs padded to fewer levels take the floats path: there numpy's fixed cost
 # per call outweighs the arithmetic (crossover in README.md).
@@ -303,24 +304,22 @@ def _rescaled_target(staircase: Staircase, b: np.ndarray) -> SchmidtSpectrum:
     return SchmidtSpectrum(gamma)
 
 
-def _fidelity(roots: Iterable[float]) -> float:
-    """(sum of the blocks' sqrt(source mass * target mass))**2, snapped to 1
-    within ``FIDELITY_SNAP``."""
-    amp = math.fsum(roots)
-    f_opt = min(1.0, amp * amp)
-    return 1.0 if 1.0 - f_opt < FIDELITY_SNAP else f_opt
+def _fidelity_distance(squares: list[float], drift: float) -> tuple[float, float]:
+    """f_opt and the distance from the blocks' (sqrt(S) - sqrt(T))**2 and sum of S - T."""
+    w = math.fsum(squares) / 2 - drift * drift / 8
+    root = 1.0 - w
+    return root * root, 2.0 * math.sqrt(w * (2.0 - w))
 
 
 def _short_chain(
     alpha: SchmidtSpectrum, beta: SchmidtSpectrum
-) -> tuple[list[float], int, list[float], list[float], bool]:
+) -> tuple[list[float], int, list[float], list[float]]:
     """The floats path's padded pair: beta's padded coefficients, the
-    dimension, ``tail_chain``'s rows as lists (x from T_beta, y from T_alpha:
-    the origin, then levels m..1) and the deterministic verdict.
+    dimension and ``tail_chain``'s rows as lists (x from T_beta, y from
+    T_alpha: the origin, then levels m..1).
 
-    Tail sums run from the last level up and prefix sums from the first level
-    down, one addition at a time as numpy's cumsum adds them, so every value
-    equals the array path's bit for bit.
+    Tail sums run from the last level up, one addition at a time as numpy's
+    cumsum adds them, so every value equals the array path's bit for bit.
     """
     size = max(len(alpha), len(beta))
     a, b = alpha.probs.tolist(), beta.probs.tolist()
@@ -330,24 +329,31 @@ def _short_chain(
     n = max(size - a.count(0.0), m)
     xs = [0.0, *list(accumulate(reversed(b)))[size - m :]]
     ys = [0.0, *list(accumulate(reversed(a)))[size - m :]]
-    deterministic = min(map(sub, accumulate(b), accumulate(a))) >= -PARTIAL_SUM_TOL
-    return b, n, xs, ys, deterministic
+    return b, n, xs, ys
 
 
-def _short_blocks(
-    xs: list[float], ys: list[float]
-) -> tuple[list[int], list[float], list[float], float]:
-    """The chain's hull vertices, each block's source and target mass, and f_opt."""
+def _short_blocks(xs: list[float], ys: list[float]) -> tuple[list[int], list[float], list[float]]:
+    """The chain's hull vertices and each block's source and target mass."""
     keep = _hull_vertices(xs, ys)
     hull_x, hull_y = itemgetter(*keep)(xs), itemgetter(*keep)(ys)  # the chain has 2+ points
-    source, target = list(map(sub, hull_y[1:], hull_y)), list(map(sub, hull_x[1:], hull_x))
-    return keep, source, target, _fidelity(map(math.sqrt, map(mul, source, target)))
+    return keep, list(map(sub, hull_y[1:], hull_y)), list(map(sub, hull_x[1:], hull_x))
+
+
+def _short_answer(xs: list, ys: list, source: list, target: list) -> tuple[float, float, bool]:
+    """f_opt, the trace distance and the verdict from the floats path's chain and blocks."""
+    if min(map(sub, ys, xs)) >= -PARTIAL_SUM_TOL:
+        return 1.0, 0.0, True
+    diffs = list(map(sub, source, target))
+    halves = list(map(truediv, diffs, map(add, map(math.sqrt, source), map(math.sqrt, target))))
+    *_, drift = accumulate(diffs)
+    return *_fidelity_distance(list(map(mul, halves, halves)), drift), False
 
 
 def _short_report(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> TransformReport:
     """``optimal_fidelity`` on Python floats, in the array path's arithmetic."""
-    b, n, xs, ys, deterministic = _short_chain(alpha, beta)
-    keep, source, target, f_opt = _short_blocks(xs, ys)
+    b, n, xs, ys = _short_chain(alpha, beta)
+    keep, source, target = _short_blocks(xs, ys)
+    f_opt, distance, deterministic = _short_answer(xs, ys, source, target)
     m = len(xs) - 1
     ratios = list(map(truediv, source, target))
     lengths = list(map(sub, keep[1:], keep))  # levels per block; the bottom one runs to n
@@ -362,7 +368,7 @@ def _short_report(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> TransformRep
     return TransformReport(
         f_opt=f_opt,
         xi=SchmidtSpectrum(gamma),
-        trace_distance=trace_distance_from_fidelity(f_opt),
+        trace_distance=distance,
         # T_alpha / T_beta at the levels where beta has mass: the chain's slopes from the origin
         conclusive_p=min(1.0, max(0.0, min(map(truediv, ys[1:], xs[1:])))),
         deterministic=deterministic,
@@ -370,24 +376,25 @@ def _short_report(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> TransformRep
     )
 
 
-def _array_solve(
-    alpha: SchmidtSpectrum, beta: SchmidtSpectrum
-) -> tuple[np.ndarray, np.ndarray, Staircase, float, bool]:
-    """The array path's padded target, tail chain, staircase, f_opt and verdict."""
+def _array_answer(points: np.ndarray, staircase: Staircase) -> tuple[float, float, bool]:
+    """``_short_answer`` from the array path's tail chain and staircase."""
+    if verdict(points).deterministic:
+        return 1.0, 0.0, True
+    source, target = staircase.source_mass, staircase.target_mass
+    diffs = source - target
+    halves = diffs / (np.sqrt(source) + np.sqrt(target))
+    return *_fidelity_distance((halves * halves).tolist(), float(diffs.cumsum()[-1])), False
+
+
+def fidelity_verdict(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> tuple[float, float, bool]:
+    """``optimal_fidelity(alpha, beta)``'s f_opt, trace distance and
+    deterministic, bit for bit, without xi, the conclusive probability or a report."""
+    if max(len(alpha), len(beta)) < _FLOAT_PATH_LEVELS:
+        _, _, xs, ys = _short_chain(alpha, beta)
+        return _short_answer(xs, ys, *_short_blocks(xs, ys)[1:])
     a, b = pad_pair(alpha, beta)
     points = tail_chain(a, b)
-    staircase = _build(points, a)
-    f_opt = _fidelity(np.sqrt(staircase.source_mass * staircase.target_mass).tolist())
-    return b, points, staircase, f_opt, verdict(a, b).deterministic
-
-
-def fidelity_verdict(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> tuple[float, bool]:
-    """``optimal_fidelity(alpha, beta)``'s f_opt and deterministic, bit for
-    bit, without xi, the conclusive probability or a report."""
-    if max(len(alpha), len(beta)) < _FLOAT_PATH_LEVELS:
-        _, _, xs, ys, deterministic = _short_chain(alpha, beta)
-        return _short_blocks(xs, ys)[3], deterministic
-    return _array_solve(alpha, beta)[3:]
+    return _array_answer(points, _build(points, a))
 
 
 def build_staircase(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> Staircase:
@@ -423,11 +430,14 @@ def optimal_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> Transform
     """
     if max(len(alpha), len(beta)) < _FLOAT_PATH_LEVELS:
         return _short_report(alpha, beta)
-    b, points, staircase, f_opt, deterministic = _array_solve(alpha, beta)
+    a, b = pad_pair(alpha, beta)
+    points = tail_chain(a, b)
+    staircase = _build(points, a)
+    f_opt, distance, deterministic = _array_answer(points, staircase)
     return TransformReport(
         f_opt=f_opt,
         xi=_rescaled_target(staircase, b),
-        trace_distance=trace_distance_from_fidelity(f_opt),
+        trace_distance=distance,
         conclusive_p=tail_ratio_min(points),
         deterministic=deterministic,
         staircase=staircase,

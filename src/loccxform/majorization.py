@@ -1,9 +1,9 @@
 """Convertibility tests between Schmidt spectra.
 
-Deterministic convertibility is a family of partial-sum comparisons of the
-two spectra zero-padded to a common length (``pad_pair``).  The conclusive
-tests compare their tail sums, and read the pair's ``tail_chain``, as the
-optimal conversion does; the best conclusive probability is its worst ratio.
+Each test reads the pair's ``tail_chain``, the tail sums of the two spectra
+zero-padded to a common length (``pad_pair``), as the optimal conversion
+does: T_alpha >= p T_beta at every level, p = 1 for deterministic
+conversion; the best conclusive probability is the chain's worst ratio.
 """
 
 from __future__ import annotations
@@ -29,14 +29,15 @@ class ConvertibilityVerdict:
     margin: float
 
 
-def verdict(a: np.ndarray, b: np.ndarray) -> ConvertibilityVerdict:
-    """``majorizes`` on a pair's padded coefficients."""
-    gaps = b.cumsum() - a.cumsum()
+def verdict(chain: np.ndarray) -> ConvertibilityVerdict:
+    """``majorizes`` on a pair's ``tail_chain``: prefix l - 1 has gap T_alpha(l) - T_beta(l),
+    the chain's point m + 1 - l (m beta's support); past m no prefix fails."""
+    gaps = chain[1] - chain[0]
     margin = float(gaps.min())
     deterministic = margin >= -PARTIAL_SUM_TOL
     failing = None
     if not deterministic:
-        failing = int(np.argmax(gaps < -PARTIAL_SUM_TOL)) + 1
+        failing = int(np.argmax(gaps[::-1] < -PARTIAL_SUM_TOL))  # the last failing point's prefix
     return ConvertibilityVerdict(deterministic, failing, margin)
 
 
@@ -54,7 +55,7 @@ def majorizes(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> ConvertibilityVe
     True exactly when every leading partial sum of alpha stays at or below
     the corresponding partial sum of beta (within PARTIAL_SUM_TOL).
     """
-    return verdict(*pad_pair(alpha, beta))
+    return verdict(tail_chain(*pad_pair(alpha, beta)))
 
 
 def weak_submajorizes(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, p: float) -> bool:
@@ -66,7 +67,7 @@ def weak_submajorizes(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, p: float) -
     """
     real_in_range(p, "probability", 0.0, 1.0, "[0, 1]")
     t_beta, t_alpha = tail_chain(*pad_pair(alpha, beta))
-    return bool(np.all(t_alpha >= p * t_beta - PARTIAL_SUM_TOL))
+    return bool(np.all(t_alpha - p * t_beta >= -PARTIAL_SUM_TOL))
 
 
 def conclusive_probability(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> float:

@@ -42,7 +42,8 @@ _INT64_LIMIT = float(2**63)
 
 
 class GridBudgetError(ValueError):
-    """Raised when a grid enumeration would exceed its point budget."""
+    """Raised when a grid enumeration, a Monte Carlo trial count or an ensemble
+    count would exceed the budget, LOCCXFORM_BUDGET or the default."""
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,16 @@ class GridSpec:
 
 
 def _grid_budget() -> int:
-    """Most grid points a search may enumerate: LOCCXFORM_BUDGET, or the built-in default."""
+    """Most grid points a search may enumerate, or samples a sampler may draw:
+    LOCCXFORM_BUDGET, or the built-in default."""
     text = os.environ.get(BUDGET_ENV, str(DEFAULT_GRID_BUDGET))
     return positive_int(int(text) if text.strip().isdecimal() else text, BUDGET_ENV)
+
+
+def _check_budget(count: int, what: str) -> None:
+    """Refuse a sampler ``count`` of ``what`` over the budget, before anything is drawn."""
+    if count > (budget := _grid_budget()):
+        raise GridBudgetError(f"{count} {what} exceed the budget of {budget}")
 
 
 def _batch_random_unitaries(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -243,6 +251,7 @@ def sample_unitary_overlap(
     numpy and LAPACK build, the same seed gives the same result, bit for bit.
     """
     trials = positive_int(trials, "trials")
+    _check_budget(trials, "trials")
     rng = np.random.default_rng(seed_int(seed))
     n, m_tau, m_omega = len(tau.amplitudes), tau.amplitudes, omega.amplitudes
     if m_tau.shape != (n, n) or m_omega.shape != (n, n):
@@ -338,6 +347,7 @@ def sample_feasible_ensembles(
     cannot make a row fail, so the final test, kept as the oracle's guard,
     drops none."""
     count = positive_int(count, "count")
+    _check_budget(count, "ensembles")
     rng = np.random.default_rng(seed_int(seed))
     a_arr, b_arr = pad_pair(alpha, beta)
     n, k_max, tails_a = len(a_arr), _ENSEMBLE_MAX_BRANCHES, _tail_sums(a_arr)

@@ -18,17 +18,15 @@ import numpy as np
 
 # Tolerances: the package's only ones, each a rounding allowance with what it guards and its size.
 #
-# Rounding drift allowed in a spectrum's sum or a [0, 1] bound: above n * eps for any n up to 4500,
-# and SchmidtSpectrum certifies a sum within it without math.fsum for n up to about 9000.
+# Rounding drift allowed in a spectrum's sum, or in a grid's best above f_opt: above n * eps for any
+# n up to 4500, and SchmidtSpectrum certifies a sum within it without math.fsum for n up to about 9000.
 NORMALIZATION_ATOL = 1e-12
 # Most drift of an input sum or norm from 1 that is renormalized, not rejected: six-digit input.
 NORMALIZATION_ACCEPT = 1e-6
-# Slack in partial-sum dominance: 1000 times the noise near 1e-13 that an SVD leaves in a spectrum.
+# Slack in partial-sum dominance, which alone sets f = 1: 1000 times the noise near 1e-13 an SVD leaves.
 PARTIAL_SUM_TOL = 1e-10
 # Tail ratios closer than this tie, and ties go to the smaller level: a few thousand ulps of 1.
 RATIO_TIE_TOL = 1e-12
-# Fidelities closer than this are equal (so 1 - f below it snaps f to 1): as precise as the spectra.
-FIDELITY_SNAP = 1e-12
 # Slack for a sampled overlap above the aligned fidelity; the excess seen in practice is near 1e-15.
 SAMPLED_OVERLAP_TOL = 1e-9
 # Slack between an oracle value and the closed form it checks; differences seen are near 1e-16.
@@ -228,12 +226,6 @@ def tensor(a: SchmidtSpectrum, b: SchmidtSpectrum) -> SchmidtSpectrum:
     prod = np.outer(a.probs, b.probs).ravel()
     prod[::-1].sort()
     return SchmidtSpectrum(prod)
-
-
-def trace_distance_from_fidelity(f: float) -> float:
-    """Trace distance between pure states with overlap f: 2*sqrt(1-f)."""
-    f = real_in_range(f, "fidelity", -NORMALIZATION_ATOL, 1.0 + NORMALIZATION_ATOL, "[0, 1]")
-    return 2.0 * math.sqrt(1.0 - min(1.0, max(0.0, f)))
 
 
 # Types a JSON number decodes to; true and false decode to bool, not int.

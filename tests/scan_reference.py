@@ -5,7 +5,10 @@ way: pad both spectra, rescan all lower levels for every block (O(n) work per
 block), rescale the target block by block, and take the conclusive
 probability (``reference_conclusive``), the conclusive predicate
 (``reference_weak_submajorizes``) and the deterministic verdict from freshly
-computed partial sums and tail sums at every level.  It shares no code with
+computed partial sums and tail sums at every level.  As the package does, it
+reports f_opt = 1 and distance 0 for a deterministic pair, and otherwise the
+fidelity and distance of the normalised blocks, one block at a time
+(``reference_fidelity_distance``).  It shares no code with
 ``loccxform.faithful``.
 """
 
@@ -15,8 +18,8 @@ import math
 
 import numpy as np
 
-from loccxform import SchmidtSpectrum, trace_distance_from_fidelity
-from loccxform.spectra import FIDELITY_SNAP, PARTIAL_SUM_TOL, RATIO_TIE_TOL
+from loccxform import SchmidtSpectrum
+from loccxform.spectra import PARTIAL_SUM_TOL, RATIO_TIE_TOL
 
 
 def reference_segments(ta: np.ndarray, tb: np.ndarray, n: int) -> list[tuple[int, float, float, float]]:
@@ -48,6 +51,18 @@ def reference_segments(ta: np.ndarray, tb: np.ndarray, n: int) -> list[tuple[int
     return segments
 
 
+def reference_fidelity_distance(segments: list[tuple[int, float, float, float]]) -> tuple[float, float]:
+    """f = (1 - w)**2 and the distance 2 sqrt(w (2 - w)) of the normalised
+    blocks, w = sum_k (sqrt(S_k) - sqrt(T_k))**2 / 2 - (sum_k (S_k - T_k))**2 / 8."""
+    squares, drift = [], 0.0
+    for _, _, source, target in segments:
+        half = (source - target) / (math.sqrt(source) + math.sqrt(target))
+        squares.append(half * half)
+        drift += source - target
+    w = math.fsum(squares) / 2 - drift * drift / 8
+    return (1.0 - w) * (1.0 - w), 2.0 * math.sqrt(w * (2.0 - w))
+
+
 def padded(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """Both spectra zero-padded to the longer length."""
     size = max(len(alpha), len(beta))
@@ -75,7 +90,7 @@ def reference_conclusive(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> float
 def reference_weak_submajorizes(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, p: float) -> bool:
     """Every full tail of alpha at least p times beta's, within PARTIAL_SUM_TOL."""
     full_ta, full_tb = full_tails(alpha, beta)
-    return bool(np.all(full_ta >= p * full_tb - PARTIAL_SUM_TOL))
+    return bool(np.all(full_ta - p * full_tb >= -PARTIAL_SUM_TOL))
 
 
 def reference_report(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> dict:
@@ -87,11 +102,6 @@ def reference_report(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> dict:
     tb = np.cumsum(b[:n][::-1])[::-1]
     segments = reference_segments(ta, tb, n)
 
-    amp = math.fsum(math.sqrt(source * target) for _, _, source, target in segments)
-    f_opt = min(1.0, amp * amp)
-    if 1.0 - f_opt < FIDELITY_SNAP:
-        f_opt = 1.0
-
     gamma = np.zeros(size)
     prev = n + 1
     for start, ratio, _, _ in segments:
@@ -100,13 +110,15 @@ def reference_report(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> dict:
     xi = SchmidtSpectrum(tuple(float(g) for g in gamma))
 
     margin = float((np.cumsum(b) - np.cumsum(a)).min())
+    deterministic = margin >= -PARTIAL_SUM_TOL
+    f_opt, distance = (1.0, 0.0) if deterministic else reference_fidelity_distance(segments)
 
     return {
         "f_opt": f_opt,
         "xi": xi.probs,
-        "trace_distance": trace_distance_from_fidelity(f_opt),
+        "trace_distance": distance,
         "conclusive_p": reference_conclusive(alpha, beta),
-        "deterministic": margin >= -PARTIAL_SUM_TOL,
+        "deterministic": deterministic,
         "segments": segments,
         "dimension": n,
     }

@@ -262,7 +262,7 @@ def test_applications_build_no_report_and_give_the_reports_answers(monkeypatch):
         catalyzed = optimal_fidelity(tensor(alpha, eta), tensor(beta, eta))
         t_bare, t_cat = bare.trace_distance, catalyzed.trace_distance
         expected = (
-            min(bare.f_opt, back.f_opt),
+            (min(bare.f_opt, back.f_opt), max(t_bare, back.trace_distance)),
             CatalysisReport(bare.deterministic, catalyzed.deterministic, t_bare - t_cat, t_bare, t_cat),
             (max(0.0, t_bare - 0.05), min(2.0, t_bare + 0.05)),
         )
@@ -272,9 +272,9 @@ def test_applications_build_no_report_and_give_the_reports_answers(monkeypatch):
         raise AssertionError("an application built a report")
 
     monkeypatch.setattr(faithful, "TransformReport", no_report)
-    for alpha, beta, (f_nl, catalysis, interval) in cases:
+    for alpha, beta, ((f_nl, t_nl), catalysis, interval) in cases:
         assert nonlocal_fidelity(alpha, beta) == f_nl
-        assert nonlocal_trace_distance(alpha, beta) == 2.0 * math.sqrt(1.0 - f_nl)
+        assert nonlocal_trace_distance(alpha, beta) == t_nl
         assert catalysis_check(alpha, beta, eta) == catalysis
         assert robustness_interval(alpha, beta, 0.05) == interval
     assert applications.optimal_fidelity is optimal_fidelity

@@ -346,6 +346,29 @@ def test_nl_dist(capsys):
     assert payload["nonlocal_trace_distance"] == nonlocal_trace_distance(alpha, beta)
 
 
+# 2 sqrt(1 - F) of the normalised blocks of this pair's binary inputs, to 50 digits
+NEAR_SOURCE, NEAR_TARGET = '{"schmidt":[0.6,0.4]}', '{"schmidt":[0.5999999,0.4000001]}'
+NEAR_DISTANCE = 2.0412414093989143820262847368765573303388211203616e-7
+
+
+@pytest.mark.parametrize(
+    ("argv", "keys"),
+    [
+        (["report", NEAR_SOURCE, NEAR_TARGET], ["trace_distance"]),
+        (["nl-dist", NEAR_SOURCE, NEAR_TARGET], ["nonlocal_trace_distance"]),
+        (["catalyze", NEAR_SOURCE, NEAR_TARGET, PHI], ["trace_distance_bare", "trace_distance_catalyzed"]),
+    ],
+    ids=["report", "nl-dist", "catalyze"],
+)
+def test_a_target_near_the_source_prints_its_distance(capsys, argv, keys):
+    # f within 1e-12 of 1 once read as 1, and each of these distances as 0
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0
+    for key in keys:
+        assert payload[key] == pytest.approx(NEAR_DISTANCE, rel=1e-9, abs=0.0)
+
+
 def test_verify_passes_and_reports(capsys):
     code, out, _ = run(
         capsys,
@@ -501,6 +524,16 @@ def test_verify_over_the_grid_budget_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: at least 51 grid points exceed the budget of 3\n"
+
+
+@pytest.mark.parametrize(("flag", "what"), [("--trials", "trials"), ("--ensembles", "ensembles")])
+def test_verify_over_the_sample_budget_exits_2(capsys, monkeypatch, flag, what):
+    # the grid's 51 points fit a budget of 100; the samplers' counts count against it too
+    monkeypatch.setenv("LOCCXFORM_BUDGET", "100")
+    argv = ["verify", PSI, PHI, "--seed", "1", "--trials", "100", "--ensembles", "100"]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, flag, "101")
+    assert (code, out, err) == (2, "", f"error: 101 {what} exceed the budget of 100\n")
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import floored_spectrum, random_spectrum
+from conftest import PATHS, draw_spectrum, floored_spectrum, on_path, random_spectrum, spectra
 from loccxform import (
     GridSpec,
     SchmidtSpectrum,
@@ -145,6 +147,91 @@ def test_report_trace_distance_and_conclusive_fields():
     report = optimal_fidelity(SchmidtSpectrum((0.8, 0.2)), BELL)
     assert report.trace_distance == pytest.approx(2 * math.sqrt(1 - report.f_opt), abs=1e-14)
     assert report.conclusive_p == pytest.approx(conclusive_probability(SchmidtSpectrum((0.8, 0.2)), BELL))
+
+
+# (0.6, 0.4) into (0.5999999, 0.4000001), both as binary floats: 2 sqrt(1 - F) for
+# the normalised blocks (0.4, 0.6) and (0.4000001, 0.5999999), to 50 digits.  The
+# decimal inputs give 2.0412414097934639e-7, the unnormalised blocks 2.0357951839e-7.
+NEAR_PAIR = (SchmidtSpectrum((0.6, 0.4)), SchmidtSpectrum((0.5999999, 0.4000001)))
+NEAR_PAIR_DISTANCE = 2.0412414093989143820262847368765573303388211203616e-7
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_a_target_near_the_source_reports_its_distance(path):
+    # 1 - f is 1.04e-14 here: 2 sqrt(1 - f) of the rounded f reads 2.0213e-7,
+    # 1% low, and f within 1e-12 of 1 once read as 1 and distance 0
+    with on_path(path):
+        report = optimal_fidelity(*NEAR_PAIR)
+    assert not report.deterministic
+    assert report.f_opt < 1.0
+    assert report.trace_distance == pytest.approx(NEAR_PAIR_DISTANCE, rel=1e-9, abs=0.0)
+
+
+@st.composite
+def near_targets(draw) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:
+    """A spectrum and a target with relative noise of 1e-3 to 1e-12 on each coefficient."""
+    alpha = draw(spectra())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** -draw(st.floats(3.0, 12.0))
+    v = np.sort(alpha.probs * np.abs(1.0 + scale * rng.standard_normal(len(alpha))))[::-1]
+    return alpha, SchmidtSpectrum(v / v.sum())
+
+
+@pytest.mark.parametrize("path", PATHS)
+@given(pair=near_targets())
+@settings(max_examples=150, deadline=None)
+def test_the_verdict_alone_sets_fidelity_one_and_distance_zero(path, pair):
+    with on_path(path):
+        report = optimal_fidelity(*pair)
+    assert report.deterministic == (report.trace_distance == 0.0)
+    assert report.f_opt == 1.0 or not report.deterministic
+
+
+def normalised_block_distance(report) -> float:
+    """2 sqrt(1 - F) of the report's blocks, each side divided by its sum, to 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        source = [mpmath.mpf(x) for x in report.staircase.source_mass.tolist()]
+        target = [mpmath.mpf(x) for x in report.staircase.target_mass.tolist()]
+        s, t = mpmath.fsum(source), mpmath.fsum(target)
+        amp = mpmath.fsum(mpmath.sqrt(x * y / (s * t)) for x, y in zip(source, target))
+        return float(2 * mpmath.sqrt(1 - amp * amp))
+
+
+# The distance of a pair that is not deterministic is within this many times n eps,
+# relatively, of its blocks' exact distance: the module docstring of
+# loccxform.faithful bounds the error by a few eps plus |sqrt(s t) - 1|, s and t
+# the blocks' sums, which lie within n eps of 1 for these spectra.
+DISTANCE_ULPS_PER_LEVEL = 4
+
+
+def assert_distance_is_the_blocks(report, n: int) -> None:
+    if report.deterministic:
+        return
+    want = normalised_block_distance(report)
+    assert abs(report.trace_distance - want) <= DISTANCE_ULPS_PER_LEVEL * n * np.finfo(float).eps * want
+
+
+@pytest.mark.parametrize("path", PATHS)
+@given(pair=near_targets())
+@settings(max_examples=100, deadline=None)
+def test_distances_match_a_50_digit_evaluation_of_the_blocks(path, pair):
+    with on_path(path):
+        assert_distance_is_the_blocks(optimal_fidelity(*pair), max(map(len, pair)))
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_large_near_pairs_match_a_50_digit_evaluation_of_the_blocks(path, n):
+    rng = np.random.default_rng(n + 1)
+    for kind in ("dirichlet", "power", "subnormal_tail"):
+        alpha = draw_spectrum(rng, n, kind)
+        for scale in (1e-3, 1e-5, 1e-7):
+            v = np.sort(alpha.probs * np.abs(1.0 + scale * rng.standard_normal(n)))[::-1]
+            with on_path(path):
+                report = optimal_fidelity(alpha, SchmidtSpectrum(v / v.sum()))
+            assert not report.deterministic
+            assert_distance_is_the_blocks(report, n)
 
 
 def test_reports_compare_by_identity_and_their_answers_by_value():

@@ -147,8 +147,8 @@ def test_large_pairs_reproduce_reference_report_bitwise(path, pair):
 def test_fidelity_verdict_is_the_reports_bitwise(path, pair):
     with on_path(path):
         report = optimal_fidelity(*pair)
-        f_opt, deterministic = faithful.fidelity_verdict(*pair)
-    assert bits([f_opt]) == bits([report.f_opt])
+        f_opt, distance, deterministic = faithful.fidelity_verdict(*pair)
+    assert bits([f_opt, distance]) == bits([report.f_opt, report.trace_distance])
     assert deterministic is report.deterministic
 
 

@@ -2,8 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import dominating_spectrum, random_spectrum
+from conftest import dominating_spectrum, random_spectrum, spectra
 from loccxform import (
     SchmidtSpectrum,
     conclusive_probability,
@@ -11,7 +13,7 @@ from loccxform import (
     tensor,
     weak_submajorizes,
 )
-from loccxform.spectra import pad_pair, pad_to_common, tail_chain
+from loccxform.spectra import PARTIAL_SUM_TOL, pad_pair, pad_to_common, tail_chain
 
 BELL = SchmidtSpectrum((0.5, 0.5))
 PRODUCT = SchmidtSpectrum((1.0, 0.0))
@@ -86,6 +88,46 @@ def test_majorizes_pads_unequal_lengths():
 def test_majorizes_tolerates_boundary_equality():
     s = SchmidtSpectrum((0.6, 0.4))
     assert majorizes(s, s).deterministic
+
+
+def prefix_gaps(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> np.ndarray:
+    """Target minus source partial sums of the padded pair, prefixes 1..n."""
+    a, b = pad_pair(alpha, beta)
+    return np.cumsum(b) - np.cumsum(a)
+
+
+def prefix_verdict(gaps: np.ndarray) -> tuple[bool, int | None, float]:
+    """The deterministic verdict from prefix sums, as ``majorizes`` took it before it read the tail chain."""
+    margin = float(gaps.min())
+    deterministic = margin >= -PARTIAL_SUM_TOL
+    failing = None if deterministic else int(np.argmax(gaps < -PARTIAL_SUM_TOL)) + 1
+    return deterministic, failing, margin
+
+
+@st.composite
+def verdict_pairs(draw) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:
+    """A spectrum and an independent target (lengths differ, zeros pad), or the
+    spectrum with relative noise of 1e-6 to 1e-12 and trailing zeros."""
+    alpha = draw(spectra())
+    if draw(st.booleans()):
+        return alpha, draw(spectra())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** -draw(st.floats(6.0, 12.0))
+    v = np.sort(alpha.probs * np.abs(1.0 + scale * rng.standard_normal(len(alpha))))[::-1]
+    return alpha, SchmidtSpectrum(np.concatenate((v / v.sum(), np.zeros(draw(st.integers(0, 3))))))
+
+
+@given(pair=verdict_pairs())
+@settings(max_examples=400, deadline=None)
+def test_the_chain_verdict_is_the_prefix_sum_verdict(pair):
+    gaps = prefix_gaps(*pair)
+    # a gap within rounding of the tolerance may fall on either side of it
+    assume(not np.any(np.abs(gaps + PARTIAL_SUM_TOL) <= 1e-14))
+    deterministic, failing, margin = prefix_verdict(gaps)
+    got = majorizes(*pair)
+    assert (got.deterministic, got.failing_index) == (deterministic, failing)
+    assert got.margin == pytest.approx(margin, rel=0.0, abs=1e-14)
+    assert weak_submajorizes(*pair, 1.0) is got.deterministic
 
 
 # ---------------------------------------------------------------------------

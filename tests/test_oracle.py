@@ -25,7 +25,7 @@ from loccxform import (
     schmidt_spectrum,
 )
 from loccxform.oracle import grid_fidelity_floor
-from loccxform.spectra import FIDELITY_SNAP, ORACLE_TOL
+from loccxform.spectra import NORMALIZATION_ATOL, ORACLE_TOL
 
 BELL = SchmidtSpectrum((0.5, 0.5))
 PRODUCT = SchmidtSpectrum((1.0,))
@@ -99,6 +99,21 @@ def test_budget_env_var(monkeypatch):
         monkeypatch.setenv("LOCCXFORM_BUDGET", text)
         with pytest.raises(ValueError, match="^LOCCXFORM_BUDGET must be a positive integer: "):
             grid_max_fidelity(BELL, BELL, GridSpec(2, 0.01))
+
+
+@pytest.mark.parametrize(
+    ("sample", "what"),
+    [
+        (lambda n: sample_unitary_overlap(diagonal_state(BELL), diagonal_state(BELL), n, seed=0), "trials"),
+        (lambda n: sample_feasible_ensembles(BELL, BELL, n, seed=0), "ensembles"),
+    ],
+    ids=["trials", "ensembles"],
+)
+def test_sample_counts_count_against_the_budget(monkeypatch, sample, what):
+    monkeypatch.setenv("LOCCXFORM_BUDGET", "100")
+    assert sample(100) is not None
+    with pytest.raises(GridBudgetError, match=f"^101 {what} exceed the budget of 100$"):
+        sample(101)
 
 
 def test_unitary_pair_validation():
@@ -196,7 +211,7 @@ def test_grid_never_falls_below_its_floor(n, concentration, step, seed):
     spec = GridSpec(n, step)
     report = optimal_fidelity(alpha, beta)
     value = grid_max_fidelity(alpha, beta, spec)
-    assert value <= report.f_opt + FIDELITY_SNAP
+    assert value <= report.f_opt + NORMALIZATION_ATOL
     assert value >= grid_fidelity_floor(report.xi, beta, spec) - ORACLE_TOL
 
 

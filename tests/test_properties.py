@@ -6,7 +6,8 @@ tensor products, and xi dominates alpha with f = aligned(xi, beta).
 
 Hypothesis draws pairs of up to 64 levels of every kind ``conftest.spectra``
 makes, a few seeded pairs run at 1024 and 4096 levels.  Every bound on f holds
-within ``ORACLE_TOL``, and the robustness bound within ``DISTANCE_SLACK``."""
+within ``ORACLE_TOL``, and the robustness bound within ``DISTANCE_SLACK`` plus
+what the deterministic verdict's tolerance allows (``verdict_slack``)."""
 
 import math
 
@@ -23,9 +24,8 @@ from loccxform import (
     optimal_fidelity,
     robustness_interval,
     tensor,
-    trace_distance_from_fidelity,
 )
-from loccxform.spectra import FIDELITY_SNAP, ORACLE_TOL, pad_pair
+from loccxform.spectra import ORACLE_TOL, pad_pair
 
 
 def targets(max_n: int = 64):
@@ -66,16 +66,27 @@ def aligned_distance(alpha: SchmidtSpectrum, alpha2: SchmidtSpectrum) -> float:
 
 # sqrt(1 - F) is a metric that LOCC channels do not increase, so a source epsilon away moves
 # the exact distance to any target by at most epsilon, which aligned_distance gives without
-# cancellation.  The error is in the two report distances compared: each is 2 sqrt(1 - f) of
-# an f within FIDELITY_SNAP (it snaps to 1) plus its rounding, n eps for n <= 4096 levels, of
-# the exact fidelity, so within 2 sqrt(FIDELITY_SNAP + 4096 eps) ~ 2.8e-6 of the exact
-# distance, as |sqrt(x) - sqrt(y)| <= sqrt(|x - y|).  FIDELITY_SNAP keeps this from n eps.
-DISTANCE_SLACK = 2 * 2 * math.sqrt(FIDELITY_SNAP + 4096 * np.finfo(float).eps)
+# cancellation.  The error is in the two report distances compared.  A pair that is not
+# deterministic reports the distance of its blocks, whose masses are the exact ones up to
+# rounding, n eps for n <= 4096 levels, so 1 - f is within that of the exact value and the
+# distance within 2 sqrt(4096 eps) ~ 1.9e-6, as |sqrt(x) - sqrt(y)| <= sqrt(|x - y|).
+DISTANCE_SLACK = 2 * 2 * math.sqrt(4096 * np.finfo(float).eps)
+
+
+def verdict_slack(alpha: SchmidtSpectrum, target: SchmidtSpectrum) -> float:
+    """How far below the exact distance a deterministic report's 0 can lie.  Its prefix
+    gaps T_alpha - T_beta reach -m >= -PARTIAL_SUM_TOL at worst.  Along the hull the gap
+    falls, then rises, so the blocks' sum of |S_k - T_k| is at most 2 m; then
+    1 - sqrt(F) = sum_k (sqrt(S_k) - sqrt(T_k))**2 / 2 <= m, 1 - F <= 2 m, and the
+    distance is at most 2 sqrt(2 m)."""
+    verdict = majorizes(alpha, target)
+    return 2 * math.sqrt(2 * max(0.0, -verdict.margin)) if verdict.deterministic else 0.0
 
 
 def assert_in_robustness_interval(alpha, alpha2, target, t) -> None:
     lower, upper = robustness_interval(alpha, target, aligned_distance(alpha, alpha2))
-    assert lower - DISTANCE_SLACK <= t <= upper + DISTANCE_SLACK, "the distance moved more than epsilon"
+    slack = DISTANCE_SLACK + verdict_slack(alpha, target) + verdict_slack(alpha2, target)
+    assert lower - slack <= t <= upper + slack, "the distance moved more than epsilon"
 
 
 def check_robustness(alpha, beta, rng) -> None:
@@ -177,7 +188,7 @@ def test_robustness_holds_where_one_minus_the_aligned_fidelity_cancels(path):
     # reachable distance to beta moves by 6.0e-10
     alpha, alpha2 = SchmidtSpectrum((1.0, 3.137e-321)), SchmidtSpectrum((1.0 - 9.8e-20, 9.8e-20))
     beta = SchmidtSpectrum((0.92, 0.08))
-    assert trace_distance_from_fidelity(aligned_fidelity(alpha, alpha2)) == 0.0
+    assert 2.0 * math.sqrt(1.0 - aligned_fidelity(alpha, alpha2)) == 0.0
     assert aligned_distance(alpha, alpha2) == pytest.approx(2 * math.sqrt(9.8e-20), rel=1e-12)
     with on_path(path):
         for target in (beta, alpha2):

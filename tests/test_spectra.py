@@ -18,8 +18,8 @@ from loccxform import (
     parse_state_dict,
     robustness_interval,
     schmidt_spectrum,
+    faithful,
     tensor,
-    trace_distance_from_fidelity,
     weak_submajorizes,
 )
 from loccxform.oracle import _batch_random_unitaries
@@ -420,13 +420,9 @@ def test_tensor_commutative_and_normalized(a, b):
 
 @pytest.mark.parametrize("f,expected", [(1.0, 0.0), (0.0, 2.0), (0.75, 1.0)])
 def test_trace_distance_examples(f, expected):
-    assert trace_distance_from_fidelity(f) == pytest.approx(expected, abs=1e-14)
-
-
-@pytest.mark.parametrize("f", [-0.001, 1.001, math.nan, math.inf, -math.inf])
-def test_trace_distance_range_errors(f):
-    with pytest.raises(ValueError, match="range"):
-        trace_distance_from_fidelity(f)
+    # blocks of masses (1, 0) and (f, 1 - f) have fidelity f and trace distance 2 sqrt(1 - f)
+    squares = [(math.sqrt(s) - math.sqrt(t)) ** 2 for s, t in zip((1.0, 0.0), (f, 1.0 - f))]
+    assert faithful._fidelity_distance(squares, 0.0) == pytest.approx((f, expected), abs=1e-14)
 
 
 # Each real-valued parameter, by the name its errors give it.
@@ -435,7 +431,6 @@ REAL_PARAMETERS = {
     "trace distance": lambda value: robustness_interval(*PAIR, value),
     "probability": lambda value: weak_submajorizes(*PAIR, value),
     "grid step": lambda value: GridSpec(3, value),
-    "fidelity": trace_distance_from_fidelity,
 }
 
 
