@@ -10,15 +10,17 @@ hull edge's slope, the ratio of the source mass to the target mass on the
 block.  The rescaled target is the closest state the source can reach, and
 the achieved overlap is (sum over blocks of sqrt(source mass * target mass))**2.
 
-Fidelity and distance.  Only the deterministic verdict (``majorizes``, read
-from the same chain) sets f_opt = 1 and distance 0.  Other pairs report the
-fidelity F and distance 2 sqrt(1 - F) of their normalised blocks S_k / s,
-T_k / t (s, t the sums of the masses S_k, T_k): as u = sum_k (sqrt(S_k) -
-sqrt(T_k))**2 / 2 = sqrt(s t) (1 - sqrt(F)) + (sqrt(s) - sqrt(t))**2 / 2,
-w = u - (s - t)**2 / 8 is 1 - sqrt(F) to a relative |sqrt(s t) - 1|, f_opt =
-(1 - w)**2 and the distance 2 sqrt(w (2 - w)).  No step cancels: a root
-difference is (S_k - T_k) / (sqrt(S_k) + sqrt(T_k)).  Where w is below a
-quarter ulp of 1, f_opt reads 1.0 though the distance is positive.
+Fidelity and distance.  Only a pair whose chain dominates, T_alpha >=
+T_beta at every level (the margin of ``majorizes``, read from the same
+chain, is >= 0), reports f_opt = 1 and distance 0.  Any other pair, also one
+deterministic within ``PARTIAL_SUM_TOL``, reports the fidelity F and
+distance 2 sqrt(1 - F) of its normalised blocks S_k / s, T_k / t (s, t their
+sums): as u = sum_k (sqrt(S_k) - sqrt(T_k))**2 / 2 = sqrt(s t) (1 - sqrt(F))
++ (sqrt(s) - sqrt(t))**2 / 2, w = u - (s - t)**2 / 8 (0 if rounding puts it
+below) is 1 - sqrt(F) to a relative |sqrt(s t) - 1|, f_opt = (1 - w)**2 and
+the distance 2 sqrt(w (2 - w)).  No step cancels: a root difference is
+(S_k - T_k) / (sqrt(S_k) + sqrt(T_k)).  Where w is below a quarter ulp of 1,
+f_opt reads 1.0 though the distance is positive.
 
 The hull is built by one monotone-chain pass over the levels, bottom first
 (A. M. Andrew, Inf. Process. Lett. 9, 216 (1979)), so a pair costs O(n) even
@@ -126,7 +128,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import add, itemgetter, mul, sub, truediv
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -304,23 +306,13 @@ def _rescaled_target(staircase: Staircase, b: np.ndarray) -> SchmidtSpectrum:
     return SchmidtSpectrum(gamma)
 
 
-def _fidelity_distance(squares: list[float], drift: float) -> tuple[float, float]:
-    """f_opt and the distance from the blocks' (sqrt(S) - sqrt(T))**2 and sum of S - T."""
-    w = math.fsum(squares) / 2 - drift * drift / 8
-    root = 1.0 - w
-    return root * root, 2.0 * math.sqrt(w * (2.0 - w))
-
-
 def _short_chain(
     alpha: SchmidtSpectrum, beta: SchmidtSpectrum
 ) -> tuple[list[float], int, list[float], list[float]]:
-    """The floats path's padded pair: beta's padded coefficients, the
-    dimension and ``tail_chain``'s rows as lists (x from T_beta, y from
-    T_alpha: the origin, then levels m..1).
-
-    Tail sums run from the last level up, one addition at a time as numpy's
-    cumsum adds them, so every value equals the array path's bit for bit.
-    """
+    """The floats path's padded pair: beta's padded coefficients, the dimension and
+    ``tail_chain``'s rows as lists (x from T_beta, y from T_alpha: the origin, then levels
+    m..1), each tail sum added one level at a time from the last, as numpy's cumsum adds
+    them, so that every value equals the array path's bit for bit."""
     size = max(len(alpha), len(beta))
     a, b = alpha.probs.tolist(), beta.probs.tolist()
     a += [0.0] * (size - len(a))
@@ -339,21 +331,30 @@ def _short_blocks(xs: list[float], ys: list[float]) -> tuple[list[int], list[flo
     return keep, list(map(sub, hull_y[1:], hull_y)), list(map(sub, hull_x[1:], hull_x))
 
 
-def _short_answer(xs: list, ys: list, source: list, target: list) -> tuple[float, float, bool]:
-    """f_opt, the trace distance and the verdict from the floats path's chain and blocks."""
-    if min(map(sub, ys, xs)) >= -PARTIAL_SUM_TOL:
+def _answer(margin: float, blocks: Callable[[], tuple[list[float], float]]) -> tuple[float, float, bool]:
+    """f_opt, the trace distance and the verdict from the chain's margin, the min of T_alpha -
+    T_beta: 1 and 0 where it is >= 0, else from ``blocks()``, the blocks' squares and drift."""
+    if margin >= 0.0:
         return 1.0, 0.0, True
+    squares, drift = blocks()
+    w = max(0.0, math.fsum(squares) / 2 - drift * drift / 8)
+    root = 1.0 - w
+    return root * root, 2.0 * math.sqrt(w * (2.0 - w)), margin >= -PARTIAL_SUM_TOL
+
+
+def _short_squares(source: list[float], target: list[float]) -> tuple[list[float], float]:
+    """The floats path's blocks' (sqrt(S) - sqrt(T))**2 and their drift, the sum of S - T."""
     diffs = list(map(sub, source, target))
     halves = list(map(truediv, diffs, map(add, map(math.sqrt, source), map(math.sqrt, target))))
     *_, drift = accumulate(diffs)
-    return *_fidelity_distance(list(map(mul, halves, halves)), drift), False
+    return list(map(mul, halves, halves)), drift
 
 
 def _short_report(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> TransformReport:
     """``optimal_fidelity`` on Python floats, in the array path's arithmetic."""
     b, n, xs, ys = _short_chain(alpha, beta)
     keep, source, target = _short_blocks(xs, ys)
-    f_opt, distance, deterministic = _short_answer(xs, ys, source, target)
+    f_opt, distance, deterministic = _answer(min(map(sub, ys, xs)), lambda: _short_squares(source, target))
     m = len(xs) - 1
     ratios = list(map(truediv, source, target))
     lengths = list(map(sub, keep[1:], keep))  # levels per block; the bottom one runs to n
@@ -376,25 +377,23 @@ def _short_report(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> TransformRep
     )
 
 
-def _array_answer(points: np.ndarray, staircase: Staircase) -> tuple[float, float, bool]:
-    """``_short_answer`` from the array path's tail chain and staircase."""
-    if verdict(points).deterministic:
-        return 1.0, 0.0, True
+def _array_squares(staircase: Staircase) -> tuple[list[float], float]:
+    """``_short_squares`` on the array path's staircase."""
     source, target = staircase.source_mass, staircase.target_mass
     diffs = source - target
     halves = diffs / (np.sqrt(source) + np.sqrt(target))
-    return *_fidelity_distance((halves * halves).tolist(), float(diffs.cumsum()[-1])), False
+    return (halves * halves).tolist(), float(diffs.cumsum()[-1])
 
 
 def fidelity_verdict(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> tuple[float, float, bool]:
-    """``optimal_fidelity(alpha, beta)``'s f_opt, trace distance and
-    deterministic, bit for bit, without xi, the conclusive probability or a report."""
+    """``optimal_fidelity(alpha, beta)``'s f_opt, trace distance and deterministic, bit for bit,
+    without xi, the conclusive probability, a report, or blocks where the chain dominates."""
     if max(len(alpha), len(beta)) < _FLOAT_PATH_LEVELS:
         _, _, xs, ys = _short_chain(alpha, beta)
-        return _short_answer(xs, ys, *_short_blocks(xs, ys)[1:])
+        return _answer(min(map(sub, ys, xs)), lambda: _short_squares(*_short_blocks(xs, ys)[1:]))
     a, b = pad_pair(alpha, beta)
     points = tail_chain(a, b)
-    return _array_answer(points, _build(points, a))
+    return _answer(verdict(points).margin, lambda: _array_squares(_build(points, a)))
 
 
 def build_staircase(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> Staircase:
@@ -433,7 +432,7 @@ def optimal_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> Transform
     a, b = pad_pair(alpha, beta)
     points = tail_chain(a, b)
     staircase = _build(points, a)
-    f_opt, distance, deterministic = _array_answer(points, staircase)
+    f_opt, distance, deterministic = _answer(verdict(points).margin, lambda: _array_squares(staircase))
     return TransformReport(
         f_opt=f_opt,
         xi=_rescaled_target(staircase, b),

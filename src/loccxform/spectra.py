@@ -23,7 +23,7 @@ import numpy as np
 NORMALIZATION_ATOL = 1e-12
 # Most drift of an input sum or norm from 1 that is renormalized, not rejected: six-digit input.
 NORMALIZATION_ACCEPT = 1e-6
-# Slack in partial-sum dominance, which alone sets f = 1: 1000 times the noise near 1e-13 an SVD leaves.
+# Slack in partial-sum dominance: 1000 times the noise near 1e-13 that an SVD leaves in a spectrum.
 PARTIAL_SUM_TOL = 1e-10
 # Tail ratios closer than this tie, and ties go to the smaller level: a few thousand ulps of 1.
 RATIO_TIE_TOL = 1e-12

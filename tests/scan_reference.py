@@ -6,9 +6,9 @@ block), rescale the target block by block, and take the conclusive
 probability (``reference_conclusive``), the conclusive predicate
 (``reference_weak_submajorizes``) and the deterministic verdict from freshly
 computed partial sums and tail sums at every level.  As the package does, it
-reports f_opt = 1 and distance 0 for a deterministic pair, and otherwise the
-fidelity and distance of the normalised blocks, one block at a time
-(``reference_fidelity_distance``).  It shares no code with
+reports f_opt = 1 and distance 0 where alpha's tail sums are at least beta's at
+every level, and otherwise the fidelity and distance of the normalised blocks,
+one block at a time (``reference_fidelity_distance``).  It shares no code with
 ``loccxform.faithful``.
 """
 
@@ -53,13 +53,14 @@ def reference_segments(ta: np.ndarray, tb: np.ndarray, n: int) -> list[tuple[int
 
 def reference_fidelity_distance(segments: list[tuple[int, float, float, float]]) -> tuple[float, float]:
     """f = (1 - w)**2 and the distance 2 sqrt(w (2 - w)) of the normalised
-    blocks, w = sum_k (sqrt(S_k) - sqrt(T_k))**2 / 2 - (sum_k (S_k - T_k))**2 / 8."""
+    blocks, w = sum_k (sqrt(S_k) - sqrt(T_k))**2 / 2 - (sum_k (S_k - T_k))**2 / 8,
+    or 0 where rounding puts it below."""
     squares, drift = [], 0.0
     for _, _, source, target in segments:
         half = (source - target) / (math.sqrt(source) + math.sqrt(target))
         squares.append(half * half)
         drift += source - target
-    w = math.fsum(squares) / 2 - drift * drift / 8
+    w = max(0.0, math.fsum(squares) / 2 - drift * drift / 8)
     return (1.0 - w) * (1.0 - w), 2.0 * math.sqrt(w * (2.0 - w))
 
 
@@ -110,15 +111,16 @@ def reference_report(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> dict:
     xi = SchmidtSpectrum(tuple(float(g) for g in gamma))
 
     margin = float((np.cumsum(b) - np.cumsum(a)).min())
-    deterministic = margin >= -PARTIAL_SUM_TOL
-    f_opt, distance = (1.0, 0.0) if deterministic else reference_fidelity_distance(segments)
+    full_ta, full_tb = full_tails(alpha, beta)
+    dominates = bool(np.all(full_ta >= full_tb))
+    f_opt, distance = (1.0, 0.0) if dominates else reference_fidelity_distance(segments)
 
     return {
         "f_opt": f_opt,
         "xi": xi.probs,
         "trace_distance": distance,
         "conclusive_p": reference_conclusive(alpha, beta),
-        "deterministic": deterministic,
+        "deterministic": margin >= -PARTIAL_SUM_TOL,
         "segments": segments,
         "dimension": n,
     }

@@ -1,9 +1,10 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PATHS, draw_spectrum, floored_spectrum, on_path, random_spectrum, spectra
@@ -13,6 +14,7 @@ from loccxform import (
     aligned_fidelity,
     build_staircase,
     conclusive_probability,
+    faithful,
     grid_max_fidelity,
     majorizes,
     optimal_fidelity,
@@ -179,23 +181,71 @@ def near_targets(draw) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:
 
 @pytest.mark.parametrize("path", PATHS)
 @given(pair=near_targets())
+# one block of masses 1 + 2 ulps and 1 + 4 ulps: the chain misses dominance by 2 ulps,
+# and u - (s - t)**2 / 8 rounds to -2.2e-47, which w must not take
+@example(pair=(SchmidtSpectrum((0.6000000000000004, 0.4)), SchmidtSpectrum((0.6000000000000008, 0.4))))
 @settings(max_examples=150, deadline=None)
-def test_the_verdict_alone_sets_fidelity_one_and_distance_zero(path, pair):
+def test_only_a_dominating_chain_reads_fidelity_one_and_distance_zero(path, pair):
     with on_path(path):
         report = optimal_fidelity(*pair)
-    assert report.deterministic == (report.trace_distance == 0.0)
-    assert report.f_opt == 1.0 or not report.deterministic
+    verdict = majorizes(*pair)
+    assert report.deterministic is verdict.deterministic
+    if verdict.margin >= 0.0:
+        assert (report.f_opt, report.trace_distance) == (1.0, 0.0)
+    elif not verdict.deterministic:
+        assert report.trace_distance > 0.0
+    else:
+        # the gap along the hull falls to -margin at worst and rises back, so 1 - F <= 2 |margin|
+        n = max(map(len, pair))
+        assert report.trace_distance <= 2 * math.sqrt(2 * (-verdict.margin + n * np.finfo(float).eps))
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("x", [5e-11, 1e-10])
+def test_a_pair_deterministic_within_the_tolerance_reports_its_distance(path, x):
+    # (1, 0) into (1 - x, x) misses dominance by x <= PARTIAL_SUM_TOL: the verdict calls
+    # it deterministic, and the normalised blocks (0, 1) and (x, 1 - x) are 2 sqrt(x) apart
+    pair = (SchmidtSpectrum((1.0, 0.0)), SchmidtSpectrum((1.0 - x, x)))
+    with on_path(path):
+        report = optimal_fidelity(*pair)
+        assert faithful.fidelity_verdict(*pair) == (report.f_opt, report.trace_distance, True)
+    assert report.deterministic
+    assert report.f_opt < 1.0
+    assert report.trace_distance == pytest.approx(2 * math.sqrt(x), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_a_dominating_pair_reads_exactly_one_and_zero(path):
+    # alpha's tail sums are beta's or more at every level; the one block's masses differ in
+    # their last bit, where the blocks' formula reads a distance of 2.3e-24
+    pair = (
+        SchmidtSpectrum((0.6038825898509387, 0.3961174101490612)),
+        SchmidtSpectrum((0.9552879034794901, 0.044712096520509725)),
+    )
+
+    def no_blocks(*args):
+        raise AssertionError("fidelity_verdict built the blocks of a dominating pair")
+
+    with on_path(path):
+        report = optimal_fidelity(*pair)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(faithful, "_build", no_blocks)
+            patch.setattr(faithful, "_short_blocks", no_blocks)
+            assert faithful.fidelity_verdict(*pair) == (1.0, 0.0, True)
+    assert majorizes(*pair).margin == 0.0
+    assert (report.f_opt, report.trace_distance, report.deterministic) == (1.0, 0.0, True)
+    assert report.staircase.source_mass[0] != report.staircase.target_mass[0]
 
 
 def normalised_block_distance(report) -> float:
     """2 sqrt(1 - F) of the report's blocks, each side divided by its sum, to 50 digits."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        source = [mpmath.mpf(x) for x in report.staircase.source_mass.tolist()]
-        target = [mpmath.mpf(x) for x in report.staircase.target_mass.tolist()]
-        s, t = mpmath.fsum(source), mpmath.fsum(target)
-        amp = mpmath.fsum(mpmath.sqrt(x * y / (s * t)) for x, y in zip(source, target))
-        return float(2 * mpmath.sqrt(1 - amp * amp))
+    with decimal.localcontext() as context:
+        context.prec = 50
+        source = [decimal.Decimal(x) for x in report.staircase.source_mass.tolist()]
+        target = [decimal.Decimal(x) for x in report.staircase.target_mass.tolist()]
+        s, t = sum(source), sum(target)
+        amp = sum((x * y / (s * t)).sqrt() for x, y in zip(source, target))
+        return float(2 * (1 - amp * amp).sqrt())
 
 
 # The distance of a pair that is not deterministic is within this many times n eps,
@@ -214,6 +264,14 @@ def assert_distance_is_the_blocks(report, n: int) -> None:
 
 @pytest.mark.parametrize("path", PATHS)
 @given(pair=near_targets())
+# the target misses the source by about 1e-10 a level, and the blocks' sums differ by an
+# ulp or so: without the (s - t)**2 / 8 term the distance is 1133 n eps off
+@example(
+    pair=(
+        SchmidtSpectrum((0.28240635458742874, 0.2696888267088925, 0.24652612301025406, 0.20137869569342484)),
+        SchmidtSpectrum((0.28240635457216606, 0.26968882655009574, 0.2465261230933734, 0.20137869578436468)),
+    )
+)
 @settings(max_examples=100, deadline=None)
 def test_distances_match_a_50_digit_evaluation_of_the_blocks(path, pair):
     with on_path(path):

@@ -6,8 +6,7 @@ tensor products, and xi dominates alpha with f = aligned(xi, beta).
 
 Hypothesis draws pairs of up to 64 levels of every kind ``conftest.spectra``
 makes, a few seeded pairs run at 1024 and 4096 levels.  Every bound on f holds
-within ``ORACLE_TOL``, and the robustness bound within ``DISTANCE_SLACK`` plus
-what the deterministic verdict's tolerance allows (``verdict_slack``)."""
+within ``ORACLE_TOL``, and the robustness bound within ``DISTANCE_SLACK``."""
 
 import math
 
@@ -66,27 +65,20 @@ def aligned_distance(alpha: SchmidtSpectrum, alpha2: SchmidtSpectrum) -> float:
 
 # sqrt(1 - F) is a metric that LOCC channels do not increase, so a source epsilon away moves
 # the exact distance to any target by at most epsilon, which aligned_distance gives without
-# cancellation.  The error is in the two report distances compared.  A pair that is not
-# deterministic reports the distance of its blocks, whose masses are the exact ones up to
-# rounding, n eps for n <= 4096 levels, so 1 - f is within that of the exact value and the
-# distance within 2 sqrt(4096 eps) ~ 1.9e-6, as |sqrt(x) - sqrt(y)| <= sqrt(|x - y|).
-DISTANCE_SLACK = 2 * 2 * math.sqrt(4096 * np.finfo(float).eps)
-
-
-def verdict_slack(alpha: SchmidtSpectrum, target: SchmidtSpectrum) -> float:
-    """How far below the exact distance a deterministic report's 0 can lie.  Its prefix
-    gaps T_alpha - T_beta reach -m >= -PARTIAL_SUM_TOL at worst.  Along the hull the gap
-    falls, then rises, so the blocks' sum of |S_k - T_k| is at most 2 m; then
-    1 - sqrt(F) = sum_k (sqrt(S_k) - sqrt(T_k))**2 / 2 <= m, 1 - F <= 2 m, and the
-    distance is at most 2 sqrt(2 m)."""
-    verdict = majorizes(alpha, target)
-    return 2 * math.sqrt(2 * max(0.0, -verdict.margin)) if verdict.deterministic else 0.0
+# cancellation.  The error is in the two report distances compared, whose tail sums are the
+# exact ones up to rounding, n eps for n <= 4096 levels.  A pair whose computed tail sums
+# dominate reports 0, and its exact gaps T_alpha - T_beta reach -n eps at worst; along the
+# hull the gap falls, then rises, so the blocks' sum of |S_k - T_k| is at most 2 n eps,
+# 1 - sqrt(F) = sum_k (sqrt(S_k) - sqrt(T_k))**2 / 2 <= n eps and 1 - F <= 2 n eps.  Any
+# other pair reports the distance of its blocks, whose 1 - F is within n eps of the exact
+# value.  So each distance is within 2 sqrt(2 * 4096 eps) ~ 2.7e-6 of the exact one, as
+# |sqrt(x) - sqrt(y)| <= sqrt(|x - y|).
+DISTANCE_SLACK = 2 * 2 * math.sqrt(2 * 4096 * np.finfo(float).eps)
 
 
 def assert_in_robustness_interval(alpha, alpha2, target, t) -> None:
     lower, upper = robustness_interval(alpha, target, aligned_distance(alpha, alpha2))
-    slack = DISTANCE_SLACK + verdict_slack(alpha, target) + verdict_slack(alpha2, target)
-    assert lower - slack <= t <= upper + slack, "the distance moved more than epsilon"
+    assert lower - DISTANCE_SLACK <= t <= upper + DISTANCE_SLACK, "the distance moved more than epsilon"
 
 
 def check_robustness(alpha, beta, rng) -> None:
