@@ -11,8 +11,8 @@ block.  The rescaled target is the closest state the source can reach, and
 the achieved overlap is (sum over blocks of sqrt(source mass * target mass))**2.
 
 Fidelity and distance.  Only a pair whose chain dominates, T_alpha >=
-T_beta at every level (the margin of ``majorizes``, read from the same
-chain, is >= 0), reports f_opt = 1 and distance 0.  Any other pair, also one
+T_beta at every level (the chain's ``margin``, from ``majorization``, is
+>= 0), reports f_opt = 1 and distance 0.  Any other pair, also one
 deterministic within ``PARTIAL_SUM_TOL``, reports the fidelity F and
 distance 2 sqrt(1 - F) of its normalised blocks S_k / s, T_k / t (s, t their
 sums): as u = sum_k (sqrt(S_k) - sqrt(T_k))**2 / 2 = sqrt(s t) (1 - sqrt(F))
@@ -132,7 +132,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .majorization import tail_ratio_min, verdict
+from .majorization import margin, tail_ratio_min
 from .spectra import PARTIAL_SUM_TOL, RATIO_TIE_TOL, SchmidtSpectrum, pad_pair, tail_chain
 
 # Pairs padded to fewer levels take the floats path: there numpy's fixed cost
@@ -278,12 +278,9 @@ def _build(points: np.ndarray, a: np.ndarray) -> Staircase:
     source's padded coefficients ``a`` give the dimension, the larger support."""
     m = points.shape[1] - 1
     n = max(int(np.count_nonzero(a)), m)
-    if m + 1 < _PREPASS_MIN_POINTS:
-        keep = _hull_vertices(*points.tolist())
-    else:
-        keep, convex = _prune(points)
-        if not convex:
-            keep = keep[_hull_vertices(*points.take(keep, axis=1).tolist())]
+    keep, convex = _prune(points)
+    if not convex:
+        keep = keep[_hull_vertices(*points.take(keep, axis=1).tolist())]
     hull = points.take(keep, axis=1)
     masses = hull[:, 1:] - hull[:, :-1]
     starts, ratios = np.subtract(m + 1, keep[1:]), masses[1] / masses[0]
@@ -391,9 +388,9 @@ def fidelity_verdict(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> tuple[flo
     if max(len(alpha), len(beta)) < _FLOAT_PATH_LEVELS:
         _, _, xs, ys = _short_chain(alpha, beta)
         return _answer(min(map(sub, ys, xs)), lambda: _short_squares(*_short_blocks(xs, ys)[1:]))
-    a, b = pad_pair(alpha, beta)
-    points = tail_chain(a, b)
-    return _answer(verdict(points).margin, lambda: _array_squares(_build(points, a)))
+    pair = pad_pair(alpha, beta)
+    points = tail_chain(pair)
+    return _answer(margin(points), lambda: _array_squares(_build(points, pair[0])))
 
 
 def build_staircase(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> Staircase:
@@ -404,8 +401,8 @@ def build_staircase(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> Staircase:
     entries than beta, the first block carries ratio 0 exactly (the dilution
     regime).
     """
-    a, b = pad_pair(alpha, beta)
-    return _build(tail_chain(a, b), a)
+    pair = pad_pair(alpha, beta)
+    return _build(tail_chain(pair), pair[0])
 
 
 def optimal_state(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> SchmidtSpectrum:
@@ -415,8 +412,8 @@ def optimal_state(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> SchmidtSpect
     ratio; the result is nonincreasing, normalized, and dominates alpha's
     partial sums, so the conversion into it is always possible.
     """
-    a, b = pad_pair(alpha, beta)
-    return _rescaled_target(_build(tail_chain(a, b), a), b)
+    pair = pad_pair(alpha, beta)
+    return _rescaled_target(_build(tail_chain(pair), pair[0]), pair[1])
 
 
 def optimal_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> TransformReport:
@@ -429,13 +426,13 @@ def optimal_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> Transform
     """
     if max(len(alpha), len(beta)) < _FLOAT_PATH_LEVELS:
         return _short_report(alpha, beta)
-    a, b = pad_pair(alpha, beta)
-    points = tail_chain(a, b)
-    staircase = _build(points, a)
-    f_opt, distance, deterministic = _answer(verdict(points).margin, lambda: _array_squares(staircase))
+    pair = pad_pair(alpha, beta)
+    points = tail_chain(pair)
+    staircase = _build(points, pair[0])
+    f_opt, distance, deterministic = _answer(margin(points), lambda: _array_squares(staircase))
     return TransformReport(
         f_opt=f_opt,
-        xi=_rescaled_target(staircase, b),
+        xi=_rescaled_target(staircase, pair[1]),
         trace_distance=distance,
         conclusive_p=tail_ratio_min(points),
         deterministic=deterministic,

@@ -2,8 +2,9 @@
 
 Each test reads the pair's ``tail_chain``, the tail sums of the two spectra
 zero-padded to a common length (``pad_pair``), as the optimal conversion
-does: T_alpha >= p T_beta at every level, p = 1 for deterministic
-conversion; the best conclusive probability is the chain's worst ratio.
+does.  The chain's ``margin`` at p, its smallest T_alpha - p T_beta, decides
+conversion with probability p (deterministic at p = 1) within
+PARTIAL_SUM_TOL; the best conclusive probability is the chain's worst ratio.
 """
 
 from __future__ import annotations
@@ -29,16 +30,9 @@ class ConvertibilityVerdict:
     margin: float
 
 
-def verdict(chain: np.ndarray) -> ConvertibilityVerdict:
-    """``majorizes`` on a pair's ``tail_chain``: prefix l - 1 has gap T_alpha(l) - T_beta(l),
-    the chain's point m + 1 - l (m beta's support); past m no prefix fails."""
-    gaps = chain[1] - chain[0]
-    margin = float(gaps.min())
-    deterministic = margin >= -PARTIAL_SUM_TOL
-    failing = None
-    if not deterministic:
-        failing = int(np.argmax(gaps[::-1] < -PARTIAL_SUM_TOL))  # the last failing point's prefix
-    return ConvertibilityVerdict(deterministic, failing, margin)
+def margin(chain: np.ndarray, p: float = 1.0) -> float:
+    """The smallest T_alpha - p T_beta over a pair's ``tail_chain``."""
+    return float((chain[1] - p * chain[0]).min())
 
 
 def tail_ratio_min(chain: np.ndarray) -> float:
@@ -55,7 +49,14 @@ def majorizes(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> ConvertibilityVe
     True exactly when every leading partial sum of alpha stays at or below
     the corresponding partial sum of beta (within PARTIAL_SUM_TOL).
     """
-    return verdict(tail_chain(*pad_pair(alpha, beta)))
+    chain = tail_chain(pad_pair(alpha, beta))
+    gap = margin(chain)
+    if gap >= -PARTIAL_SUM_TOL:
+        return ConvertibilityVerdict(True, None, gap)
+    # prefix l - 1 has gap T_alpha(l) - T_beta(l), the chain's point m + 1 - l (m beta's
+    # support); past m no prefix fails, so the last failing point's prefix is the first
+    gaps = chain[1] - chain[0]
+    return ConvertibilityVerdict(False, int(np.argmax(gaps[::-1] < -PARTIAL_SUM_TOL)), gap)
 
 
 def weak_submajorizes(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, p: float) -> bool:
@@ -66,8 +67,7 @@ def weak_submajorizes(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, p: float) -
     its supremum over p in [0, 1] is ``conclusive_probability``.
     """
     real_in_range(p, "probability", 0.0, 1.0, "[0, 1]")
-    t_beta, t_alpha = tail_chain(*pad_pair(alpha, beta))
-    return bool(np.all(t_alpha - p * t_beta >= -PARTIAL_SUM_TOL))
+    return margin(tail_chain(pad_pair(alpha, beta)), p) >= -PARTIAL_SUM_TOL
 
 
 def conclusive_probability(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> float:
@@ -77,4 +77,4 @@ def conclusive_probability(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> flo
     Levels where beta's tail vanishes impose no constraint; a vanishing alpha
     tail against a positive beta tail forces probability 0.
     """
-    return tail_ratio_min(tail_chain(*pad_pair(alpha, beta)))
+    return tail_ratio_min(tail_chain(pad_pair(alpha, beta)))

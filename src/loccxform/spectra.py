@@ -27,8 +27,6 @@ NORMALIZATION_ACCEPT = 1e-6
 PARTIAL_SUM_TOL = 1e-10
 # Tail ratios closer than this tie, and ties go to the smaller level: a few thousand ulps of 1.
 RATIO_TIE_TOL = 1e-12
-# Slack for a sampled overlap above the aligned fidelity; the excess seen in practice is near 1e-15.
-SAMPLED_OVERLAP_TOL = 1e-9
 # Slack between an oracle value and the closed form it checks; differences seen are near 1e-16.
 ORACLE_TOL = 1e-10
 
@@ -183,25 +181,24 @@ def schmidt_spectrum(state: BipartiteState) -> SchmidtSpectrum:
     return SchmidtSpectrum(probs)
 
 
-def pad_pair(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, size: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Both spectra's coefficients zero-padded to the longer length, or to
-    ``size`` if longer: copies, with no new spectrum built or checked."""
-    a, b = np.zeros((2, max(len(alpha), len(beta), size)))
-    a[: len(alpha)] = alpha.probs
-    b[: len(beta)] = beta.probs
-    return a, b
+def pad_pair(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, size: int = 0) -> np.ndarray:
+    """Both spectra's coefficients zero-padded to the longer length, or to ``size`` if
+    longer, as one new (2, n) array, alpha's row first: no new spectrum is built or checked."""
+    pair = np.zeros((2, max(len(alpha), len(beta), size)))
+    pair[0, : len(alpha)] = alpha.probs
+    pair[1, : len(beta)] = beta.probs
+    return pair
 
 
-def tail_chain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A padded pair's tail sums, each added one level at a time from the last: row 0
-    holds T_beta and row 1 T_alpha, at the origin, then at levels m..1, m being beta's
-    support.  Levels past m add no target mass, and constrain nothing that reads this."""
-    m = int(np.count_nonzero(b))
+def tail_chain(pair: np.ndarray) -> np.ndarray:
+    """A padded pair's tail sums, both rows in one cumsum adding one level at a time from the
+    last: row 0 holds T_beta and row 1 T_alpha, at the origin, then at levels m..1, m being
+    beta's support.  Levels past m add no target mass, and constrain nothing that reads this."""
+    m = int(np.count_nonzero(pair[1]))
     if m == 0:
         raise ValueError("target spectrum is all zero")
     points = np.zeros((2, m + 1))
-    points[0, 1:] = b[::-1].cumsum()[len(b) - m :]
-    points[1, 1:] = a[::-1].cumsum()[len(a) - m :]
+    points[:, 1:] = pair[::-1, ::-1].cumsum(axis=1)[:, -m:]
     return points
 
 

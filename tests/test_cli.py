@@ -494,13 +494,13 @@ def test_verify_fails_an_f_opt_a_feasible_ensemble_beats(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     ("offset", "passes"),
-    [(1e-6, False), (-1e-6, False), (0.5e-9, True)],
-    ids=["above-the-slack", "aligning-pair-unscored", "within-the-slack"],
+    [(1e-6, False), (0.5e-9, False), (-1e-6, False), (0.5e-10, True)],
+    ids=["above-the-slack", "above-the-slack-by-5e-10", "aligning-pair-unscored", "within-the-slack"],
 )
 def test_verify_judges_the_sampled_overlap_against_the_aligned_fidelity(capsys, monkeypatch, offset, passes):
     # The aligning pair attains the aligned fidelity, so the sampled maximum
-    # must equal it: above by more than SAMPLED_OVERLAP_TOL breaks the bound,
-    # and below means the aligning pair was not scored.
+    # must equal it within ORACLE_TOL: above by more breaks the bound, and
+    # below by more means the aligning pair was not scored.
     aligned = aligned_fidelity(SchmidtSpectrum((0.8, 0.2)), SchmidtSpectrum((0.5, 0.5)))
     monkeypatch.setattr(cli, "sample_unitary_overlap", lambda tau, omega, trials, seed: aligned + offset)
     code, out, _ = run(capsys, "verify", PSI, PHI, "--seed", "0")

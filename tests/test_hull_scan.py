@@ -233,7 +233,7 @@ def near_tied_pairs(draw) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:
 def test_record_tests_keep_every_block_start(pair):
     # on the whole chain, so on every sub-chain the pre-pass hands them: a
     # later minimum or an earlier maximum over fewer points drops no more
-    points = tail_chain(*pad_pair(*pair))
+    points = tail_chain(pad_pair(*pair))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(faithful, "_records", lambda x, y: np.arange(len(x)))
         without = build_staircase(*pair)
@@ -249,7 +249,7 @@ def test_prepass_keeps_every_block_start(monkeypatch):
     n = 4096
     for _ in range(3):
         alpha, beta = (spectrum(rng.dirichlet(np.ones(n)).tolist()) for _ in range(2))
-        points = tail_chain(*pad_pair(alpha, beta))
+        points = tail_chain(pad_pair(alpha, beta))
         assert points.shape == (2, n + 1)
         keep, convex = faithful._prune(points)
         stairs = build_staircase(alpha, beta)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dominating_spectrum, random_spectrum, spectra
+from conftest import KINDS, dominating_spectrum, draw_spectrum, random_spectrum, spectra
 from loccxform import (
     SchmidtSpectrum,
     conclusive_probability,
@@ -25,11 +25,14 @@ PRODUCT = SchmidtSpectrum((1.0, 0.0))
 
 
 def test_pad_pair_tails_past_the_shorter_spectrum_are_zero():
-    a, b = pad_pair(SchmidtSpectrum((0.5, 0.3, 0.2)), SchmidtSpectrum((0.25,) * 4))
+    pair = pad_pair(SchmidtSpectrum((0.5, 0.3, 0.2)), SchmidtSpectrum((0.25,) * 4))
+    # one (2, n) float array, alpha's row first, whose rows unpack
+    assert type(pair) is np.ndarray and pair.dtype == float and pair.shape == (2, 4)
+    a, b = pair
     assert tuple(a) == (0.5, 0.3, 0.2, 0.0)
     assert tuple(b) == (0.25,) * 4
     # the chain bottom first: the origin, then levels 4..1
-    t_beta, t_alpha = tail_chain(a, b)
+    t_beta, t_alpha = tail_chain(pair)
     assert tuple(t_alpha) == pytest.approx((0.0, 0.0, 0.2, 0.5, 1.0), abs=1e-12)
     assert tuple(t_beta) == pytest.approx((0.0, 0.25, 0.5, 0.75, 1.0), abs=1e-12)
 
@@ -37,9 +40,9 @@ def test_pad_pair_tails_past_the_shorter_spectrum_are_zero():
 def test_tail_chain_stops_at_the_targets_support():
     # levels past beta's support add no target mass: the chain skips level 4,
     # and its first level carries alpha's mass on levels 3 and 4
-    a, b = pad_pair(SchmidtSpectrum((0.25,) * 4), SchmidtSpectrum((0.5, 0.3, 0.2)))
-    assert tuple(b) == (0.5, 0.3, 0.2, 0.0)
-    t_beta, t_alpha = tail_chain(a, b)
+    pair = pad_pair(SchmidtSpectrum((0.25,) * 4), SchmidtSpectrum((0.5, 0.3, 0.2)))
+    assert tuple(pair[1]) == (0.5, 0.3, 0.2, 0.0)
+    t_beta, t_alpha = tail_chain(pair)
     assert tuple(t_beta) == pytest.approx((0.0, 0.2, 0.5, 1.0), abs=1e-12)
     assert tuple(t_alpha) == pytest.approx((0.0, 0.5, 0.75, 1.0), abs=1e-12)
 
@@ -47,7 +50,44 @@ def test_tail_chain_stops_at_the_targets_support():
 @pytest.mark.parametrize("size", [1, 3])
 def test_tail_chain_of_an_all_zero_target_raises(size):
     with pytest.raises(ValueError, match="^target spectrum is all zero$"):
-        tail_chain(np.eye(size)[0], np.zeros(size))
+        tail_chain(np.array((np.eye(size)[0], np.zeros(size))))
+
+
+def two_cumsum_chain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``tail_chain`` as it was taken with one cumsum per row of the padded pair."""
+    m = int(np.count_nonzero(b))
+    points = np.zeros((2, m + 1))
+    points[0, 1:] = b[::-1].cumsum()[len(b) - m :]
+    points[1, 1:] = a[::-1].cumsum()[len(a) - m :]
+    return points
+
+
+def assert_one_cumsum_is_two(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, u: float) -> None:
+    """The one-cumsum chain equals the two-cumsum one bit for bit, and
+    ``weak_submajorizes`` is the all-levels test on the latter at p = 0, 1,
+    the conclusive probability and u."""
+    chain = two_cumsum_chain(*pad_pair(alpha, beta))
+    assert tail_chain(pad_pair(alpha, beta)).tobytes() == chain.tobytes()
+    t_beta, t_alpha = chain
+    for p in (0.0, 1.0, conclusive_probability(alpha, beta), u):
+        assert weak_submajorizes(alpha, beta, p) is bool(np.all(t_alpha - p * t_beta >= -PARTIAL_SUM_TOL))
+
+
+@given(alpha=spectra(), beta=spectra(), u=st.floats(0.0, 1.0))
+@settings(max_examples=400, deadline=None)
+def test_tail_chain_is_the_two_cumsum_chain_bitwise(alpha, beta, u):
+    assert_one_cumsum_is_two(alpha, beta, u)
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("kind", KINDS)
+def test_large_tail_chains_are_the_two_cumsum_chains_bitwise(n, kind):
+    rng = np.random.default_rng(n + KINDS.index(kind))
+    # unequal lengths both ways round, against a target of a random kind
+    alpha = draw_spectrum(rng, n, kind)
+    beta = draw_spectrum(rng, int(rng.integers(n // 2, n + 1)), str(rng.choice(KINDS)))
+    assert_one_cumsum_is_two(alpha, beta, float(rng.uniform()))
+    assert_one_cumsum_is_two(beta, alpha, float(rng.uniform()))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +145,7 @@ def prefix_verdict(gaps: np.ndarray) -> tuple[bool, int | None, float]:
 
 
 @st.composite
-def verdict_pairs(draw) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:
+def majorizes_pairs(draw) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:
     """A spectrum and an independent target (lengths differ, zeros pad), or the
     spectrum with relative noise of 1e-6 to 1e-12 and trailing zeros."""
     alpha = draw(spectra())
@@ -117,7 +157,7 @@ def verdict_pairs(draw) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:
     return alpha, SchmidtSpectrum(np.concatenate((v / v.sum(), np.zeros(draw(st.integers(0, 3))))))
 
 
-@given(pair=verdict_pairs())
+@given(pair=majorizes_pairs())
 @settings(max_examples=400, deadline=None)
 def test_the_chain_verdict_is_the_prefix_sum_verdict(pair):
     gaps = prefix_gaps(*pair)

@@ -326,7 +326,7 @@ def test_bipartite_state_dims_is_derived():
 def test_monotones_examples(probs, expected):
     s = SchmidtSpectrum(probs)
     # the chain's T_alpha row holds the origin, then levels m..1
-    assert tuple(tail_chain(*pad_pair(s, s))[1, :0:-1]) == pytest.approx(expected, abs=1e-12)
+    assert tuple(tail_chain(pad_pair(s, s))[1, :0:-1]) == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

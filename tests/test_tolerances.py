@@ -11,7 +11,6 @@ TABLE = {
     "NORMALIZATION_ACCEPT": 1e-6,
     "PARTIAL_SUM_TOL": 1e-10,
     "RATIO_TIE_TOL": 1e-12,
-    "SAMPLED_OVERLAP_TOL": 1e-9,
     "ORACLE_TOL": 1e-10,
 }
 
