@@ -21,17 +21,15 @@ from .applications import (
     teleportation_fidelity,
 )
 from .faithful import (
+    ConvertibilityVerdict,
     Segment,
     Staircase,
     TransformReport,
     build_staircase,
-    optimal_fidelity,
-    optimal_state,
-)
-from .majorization import (
-    ConvertibilityVerdict,
     conclusive_probability,
     majorizes,
+    optimal_fidelity,
+    optimal_state,
     weak_submajorizes,
 )
 from .oracle import (

@@ -29,10 +29,14 @@ class CatalysisReport:
 
 
 def resolve_dimension(alpha: SchmidtSpectrum, n: int | None) -> int:
-    """n, or alpha's length when n is None; it must hold alpha's support."""
+    """n, or alpha's length when n is None; it must hold alpha's support and be a finite float."""
     n = len(alpha) if n is None else positive_int(n, "dimension")
     if n < alpha.nonzero_count:
         raise ValueError(f"dimension {n} below the {alpha.nonzero_count} nonzero coefficients")
+    try:
+        float(n)
+    except OverflowError:
+        raise ValueError(f"dimension of {n.bit_length()} bits past the float range") from None
     return n
 
 

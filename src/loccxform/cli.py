@@ -8,7 +8,7 @@ import csv
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,10 +23,10 @@ from .applications import (
     teleportation_fidelity,
     widen_trace_distance,
 )
-from .faithful import TransformReport, optimal_fidelity
-from .majorization import majorizes
+from .faithful import TransformReport, majorizes, optimal_fidelity
 from .oracle import (
     GridSpec,
+    check_budget,
     grid_fidelity_floor,
     grid_max_fidelity,
     sample_feasible_ensembles,
@@ -119,9 +119,9 @@ def _print_payload(payload: dict, fmt: str) -> None:
             print(f"{key:18s} {value}")
 
 
-def emit_csv(labels: Sequence[str], rows: Sequence[Sequence[object]], out) -> None:
-    """Write an RFC-4180 CSV with a header row to the text stream ``out``;
-    floats use 12 significant digits."""
+def emit_csv(labels: Sequence[str], rows: Iterable[Sequence[object]], out) -> None:
+    """Write an RFC-4180 CSV with a header row to the text stream ``out``, each row
+    as ``rows`` yields it; floats use 12 significant digits."""
 
     writer = csv.writer(out)
     writer.writerow(labels)
@@ -258,11 +258,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     target = parse_state_spec(args.phi)
     if not (0.0 <= args.start <= args.stop <= 1.0):
         raise ValueError("sweep range must satisfy 0 <= start <= stop <= 1")
-    rows = []
-    for t in np.linspace(args.start, args.stop, positive_int(args.steps, "--steps")):
-        alpha = SchmidtSpectrum((1.0 - float(t), float(t)))
-        rep = optimal_fidelity(alpha, target)
-        rows.append((float(t), rep.f_opt, rep.conclusive_p, rep.trace_distance))
+    steps = positive_int(args.steps, "--steps")
+    check_budget(steps, "steps")
+    # rows are written as they are computed
+    grid = map(float, np.linspace(args.start, args.stop, steps))
+    reports = ((t, optimal_fidelity(SchmidtSpectrum((1.0 - t, t)), target)) for t in grid)
+    rows = ((t, rep.f_opt, rep.conclusive_p, rep.trace_distance) for t, rep in reports)
     labels = ("b2", "f_opt", "p_conclusive", "trace_distance")
     if args.out is None:
         emit_csv(labels, rows, sys.stdout)

@@ -1,26 +1,32 @@
-"""Optimal deterministic approximation of one entangled spectrum by another.
+"""Convertibility tests and the optimal deterministic approximation of one
+entangled spectrum by another, all read from one ``tail_chain``: the tail sums
+T_alpha(l), T_beta(l) of the spectra zero-padded to a common length.
+
+Its ``margin`` at p, the smallest T_alpha - p T_beta, decides conversion with
+probability p (deterministic at p = 1: M. A. Nielsen, PRL 83, 436 (1999))
+within PARTIAL_SUM_TOL, by the rule ``_dominates`` alone spells; the best
+conclusive probability is its smallest slope from the origin.
 
 When a source state cannot reach a target exactly, the best reachable state
-is found from the tail sums T_alpha(l), T_beta(l) of the two spectra.  Plot
-the points (T_beta(l), T_alpha(l)) for the levels l = n+1 (the origin) up to
-l = 1 (the point (1, 1)); the levels where the lower convex hull of these
-points bends are the block starts.  On the block running from level ``start``
-up to the previous start minus one, the target spectrum is rescaled by the
-hull edge's slope, the ratio of the source mass to the target mass on the
-block.  The rescaled target is the closest state the source can reach, and
-the achieved overlap is (sum over blocks of sqrt(source mass * target mass))**2.
+is found from the same tail sums.  Plot the points (T_beta(l), T_alpha(l))
+for the levels l = n+1 (the origin) up to l = 1 (the point (1, 1)); the
+levels where the lower convex hull of these points bends are the block
+starts.  On the block running from level ``start`` up to the previous start
+minus one, the target spectrum is rescaled by the hull edge's slope, the
+ratio of the source mass to the target mass on the block.  The rescaled
+target is the closest state the source can reach, and the achieved overlap
+is (sum over blocks of sqrt(source mass * target mass))**2.
 
-Fidelity and distance.  Only a pair whose chain dominates, T_alpha >=
-T_beta at every level (the chain's ``margin``, from ``majorization``, is
->= 0), reports f_opt = 1 and distance 0.  Any other pair, also one
-deterministic within ``PARTIAL_SUM_TOL``, reports the fidelity F and
-distance 2 sqrt(1 - F) of its normalised blocks S_k / s, T_k / t (s, t their
-sums): as u = sum_k (sqrt(S_k) - sqrt(T_k))**2 / 2 = sqrt(s t) (1 - sqrt(F))
-+ (sqrt(s) - sqrt(t))**2 / 2, w = u - (s - t)**2 / 8 (0 if rounding puts it
-below) is 1 - sqrt(F) to a relative |sqrt(s t) - 1|, f_opt = (1 - w)**2 and
-the distance 2 sqrt(w (2 - w)).  No step cancels: a root difference is
-(S_k - T_k) / (sqrt(S_k) + sqrt(T_k)).  Where w is below a quarter ulp of 1,
-f_opt reads 1.0 though the distance is positive.
+Fidelity and distance.  Only a pair whose chain dominates, T_alpha >= T_beta
+at every level (its ``margin`` is >= 0), reports f_opt = 1 and distance 0.
+Any other pair, also one deterministic within ``PARTIAL_SUM_TOL``, reports
+the fidelity F and distance 2 sqrt(1 - F) of its normalised blocks S_k / s,
+T_k / t (s, t their sums): as u = sum_k (sqrt(S_k) - sqrt(T_k))**2 / 2 =
+sqrt(s t) (1 - sqrt(F)) + (sqrt(s) - sqrt(t))**2 / 2, w = u - (s - t)**2 / 8
+(0 if rounding puts it below) is 1 - sqrt(F) to a relative |sqrt(s t) - 1|,
+f_opt = (1 - w)**2 and the distance 2 sqrt(w (2 - w)).  No step cancels: a
+root difference is (S_k - T_k) / (sqrt(S_k) + sqrt(T_k)).  Where w is below a
+quarter ulp of 1, f_opt reads 1.0 though the distance is positive.
 
 The hull is built by one monotone-chain pass over the levels, bottom first
 (A. M. Andrew, Inf. Process. Lett. 9, 216 (1979)), so a pair costs O(n) even
@@ -132,8 +138,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .majorization import margin, tail_ratio_min
-from .spectra import PARTIAL_SUM_TOL, RATIO_TIE_TOL, SchmidtSpectrum, pad_pair, tail_chain
+from .spectra import PARTIAL_SUM_TOL, RATIO_TIE_TOL, SchmidtSpectrum, pad_pair, real_in_range
 
 # Pairs padded to fewer levels take the floats path: there numpy's fixed cost
 # per call outweighs the arithmetic (crossover in README.md).
@@ -196,6 +201,17 @@ class TransformReport:
     conclusive_p: float
     deterministic: bool
     staircase: Staircase
+
+
+@dataclass(frozen=True)
+class ConvertibilityVerdict:
+    """Outcome of ``majorizes``: ``margin`` is the smallest partial-sum gap (target minus
+    source) over all prefixes; ``failing_index`` is the first 1-indexed prefix whose gap
+    drops below -PARTIAL_SUM_TOL, or None when none does."""
+
+    deterministic: bool
+    failing_index: int | None
+    margin: float
 
 
 def _records(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -303,6 +319,73 @@ def _rescaled_target(staircase: Staircase, b: np.ndarray) -> SchmidtSpectrum:
     return SchmidtSpectrum(gamma)
 
 
+def tail_chain(pair: np.ndarray) -> np.ndarray:
+    """A padded pair's tail sums, both rows in one cumsum adding one level at a time from the
+    last: row 0 holds T_beta and row 1 T_alpha, at the origin, then at levels m..1, m being
+    beta's support.  Levels past m add no target mass, and constrain nothing that reads this."""
+    m = int(np.count_nonzero(pair[1]))
+    if m == 0:
+        raise ValueError("target spectrum is all zero")
+    points = np.zeros((2, m + 1))
+    points[:, 1:] = pair[::-1, ::-1].cumsum(axis=1)[:, -m:]
+    return points
+
+
+def margin(points: np.ndarray, p: float = 1.0) -> float:
+    """The smallest T_alpha - p T_beta over a pair's ``tail_chain``."""
+    return float((points[1] - p * points[0]).min())
+
+
+def _dominates(gap: float | np.ndarray) -> bool | np.ndarray:
+    """Does a gap T_alpha - p T_beta (or each of an array of them) pass, within the tolerance?"""
+    return gap >= -PARTIAL_SUM_TOL
+
+
+def tail_ratio_min(points: np.ndarray) -> float:
+    """``conclusive_probability`` on a pair's ``tail_chain``: its smallest slope from the origin."""
+    # a subnormal beta tail can overflow a ratio to inf, which never wins the minimum
+    with np.errstate(over="ignore"):
+        ratios = points[1, 1:] / points[0, 1:]
+    return float(min(1.0, max(0.0, ratios.min())))
+
+
+def majorizes(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> ConvertibilityVerdict:
+    """Can alpha be converted into beta deterministically?
+
+    True exactly when every leading partial sum of alpha stays at or below
+    the corresponding partial sum of beta (within PARTIAL_SUM_TOL).
+    """
+    points = tail_chain(pad_pair(alpha, beta))
+    gap = margin(points)
+    if _dominates(gap):
+        return ConvertibilityVerdict(True, None, gap)
+    # prefix l - 1 has gap T_alpha(l) - T_beta(l), the chain's point m + 1 - l (m beta's
+    # support); past m no prefix fails, so the last failing point's prefix is the first
+    gaps = points[1] - points[0]
+    return ConvertibilityVerdict(False, int(np.argmax(~_dominates(gaps[::-1]))), gap)
+
+
+def weak_submajorizes(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, p: float) -> bool:
+    """Can alpha reach beta conclusively with success probability p?
+
+    Holds when every tail sum of alpha dominates the p-scaled tail sum of
+    beta (within PARTIAL_SUM_TOL).  The predicate is downward-closed in p;
+    its supremum over p in [0, 1] is ``conclusive_probability``.
+    """
+    real_in_range(p, "probability", 0.0, 1.0, "[0, 1]")
+    return _dominates(margin(tail_chain(pad_pair(alpha, beta)), p))
+
+
+def conclusive_probability(alpha: SchmidtSpectrum, beta: SchmidtSpectrum) -> float:
+    """Best probability of converting alpha into exactly beta.
+
+    min over levels l of tail(alpha, l) / tail(beta, l), clamped to [0, 1].
+    Levels where beta's tail vanishes impose no constraint; a vanishing alpha
+    tail against a positive beta tail forces probability 0.
+    """
+    return tail_ratio_min(tail_chain(pad_pair(alpha, beta)))
+
+
 def _short_chain(
     alpha: SchmidtSpectrum, beta: SchmidtSpectrum
 ) -> tuple[list[float], int, list[float], list[float]]:
@@ -328,15 +411,15 @@ def _short_blocks(xs: list[float], ys: list[float]) -> tuple[list[int], list[flo
     return keep, list(map(sub, hull_y[1:], hull_y)), list(map(sub, hull_x[1:], hull_x))
 
 
-def _answer(margin: float, blocks: Callable[[], tuple[list[float], float]]) -> tuple[float, float, bool]:
-    """f_opt, the trace distance and the verdict from the chain's margin, the min of T_alpha -
-    T_beta: 1 and 0 where it is >= 0, else from ``blocks()``, the blocks' squares and drift."""
-    if margin >= 0.0:
+def _answer(gap: float, blocks: Callable[[], tuple[list[float], float]]) -> tuple[float, float, bool]:
+    """f_opt, the trace distance and the verdict from the chain's margin ``gap``, the min of
+    T_alpha - T_beta: 1 and 0 where it is >= 0, else from ``blocks()``, the blocks' squares and drift."""
+    if gap >= 0.0:
         return 1.0, 0.0, True
     squares, drift = blocks()
     w = max(0.0, math.fsum(squares) / 2 - drift * drift / 8)
     root = 1.0 - w
-    return root * root, 2.0 * math.sqrt(w * (2.0 - w)), margin >= -PARTIAL_SUM_TOL
+    return root * root, 2.0 * math.sqrt(w * (2.0 - w)), _dominates(gap)
 
 
 def _short_squares(source: list[float], target: list[float]) -> tuple[list[float], float]:

@@ -12,7 +12,6 @@ import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -42,8 +41,8 @@ _INT64_LIMIT = float(2**63)
 
 
 class GridBudgetError(ValueError):
-    """Raised when a grid enumeration, a Monte Carlo trial count or an ensemble
-    count would exceed the budget, LOCCXFORM_BUDGET or the default."""
+    """Raised when a grid's point count, or a trial, ensemble or sweep step count,
+    would exceed the budget, LOCCXFORM_BUDGET or the default."""
 
 
 @dataclass(frozen=True)
@@ -73,10 +72,18 @@ def _grid_budget() -> int:
     return positive_int(int(text) if text.strip().isdecimal() else text, BUDGET_ENV)
 
 
-def _check_budget(count: int, what: str) -> None:
-    """Refuse a sampler ``count`` of ``what`` over the budget, before anything is drawn."""
+def _count_text(count: int) -> str:
+    """``count`` in decimal, or by its bit length past Python's int-to-string digit limit."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"a {count.bit_length()}-bit number of"
+
+
+def check_budget(count: int, what: str) -> None:
+    """Refuse a ``count`` of ``what`` over the budget, before anything is drawn or computed."""
     if count > (budget := _grid_budget()):
-        raise GridBudgetError(f"{count} {what} exceed the budget of {budget}")
+        raise GridBudgetError(f"{_count_text(count)} {what} exceed the budget of {budget}")
 
 
 def _batch_random_unitaries(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -112,13 +119,11 @@ def _grid_size(total: int, parts: int) -> int:
 
 
 def _exact_ceil_thresholds(heads: np.ndarray, resolution: int) -> np.ndarray:
-    """Smallest integers t with t/resolution >= each partial sum, computed in
-    exact rational arithmetic so no feasible stratum is ever misclassified."""
-    out = np.empty(len(heads), dtype=np.int64)
-    for i, value in enumerate(heads):
-        frac = Fraction(float(value))
-        out[i] = min(max(-((-frac.numerator * resolution) // frac.denominator), 0), resolution)
-    return out
+    """Smallest integers t with t/resolution >= each partial sum, computed in exact
+    integer arithmetic on each float's ratio so no feasible stratum is ever misclassified."""
+    ratios = [value.as_integer_ratio() for value in heads.tolist()]
+    return np.array([min(max(-(-num * resolution // den), 0), resolution) for num, den in ratios],
+                    dtype=np.int64)
 
 
 def grid_max_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, grid: GridSpec) -> float:
@@ -156,9 +161,8 @@ def grid_max_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, grid: GridS
     k = min(slots, big_n)
     lower = -(-math.comb(big_n + k - 1, k - 1) // math.factorial(k))
     if lower > budget:
-        raise GridBudgetError(f"at least {lower} grid points exceed the budget of {budget}")
-    if (size := _grid_size(big_n, slots)) > budget:
-        raise GridBudgetError(f"{size} grid points exceed the budget of {budget}")
+        raise GridBudgetError(f"at least {_count_text(lower)} grid points exceed the budget of {budget}")
+    check_budget(_grid_size(big_n, slots), "grid points")
     # sorted spectra: whatever lies past the dimension is zero padding
     a, b = pad_pair(alpha, beta, slots)
     b, thresholds = b[:slots], _exact_ceil_thresholds(np.cumsum(a[:slots]), big_n)
@@ -251,7 +255,7 @@ def sample_unitary_overlap(
     numpy and LAPACK build, the same seed gives the same result, bit for bit.
     """
     trials = positive_int(trials, "trials")
-    _check_budget(trials, "trials")
+    check_budget(trials, "trials")
     rng = np.random.default_rng(seed_int(seed))
     n, m_tau, m_omega = len(tau.amplitudes), tau.amplitudes, omega.amplitudes
     if m_tau.shape != (n, n) or m_omega.shape != (n, n):
@@ -347,7 +351,7 @@ def sample_feasible_ensembles(
     cannot make a row fail, so the final test, kept as the oracle's guard,
     drops none."""
     count = positive_int(count, "count")
-    _check_budget(count, "ensembles")
+    check_budget(count, "ensembles")
     rng = np.random.default_rng(seed_int(seed))
     a_arr, b_arr = pad_pair(alpha, beta)
     n, k_max, tails_a = len(a_arr), _ENSEMBLE_MAX_BRANCHES, _tail_sums(a_arr)

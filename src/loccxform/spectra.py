@@ -1,9 +1,10 @@
-"""Schmidt spectra of bipartite pure states and the primitives built on them.
+"""Schmidt spectra of bipartite pure states: the state types, the input
+checks, the package's tolerances and zero padding.
 
 A state is represented either by its complex amplitude matrix in a fixed
 product basis, or directly by its spectrum of squared Schmidt coefficients.
 Everything downstream (convertibility, optimal conversion, metrics) consumes
-spectra only.
+spectra only; the tail sums those read are taken in ``faithful``.
 """
 
 from __future__ import annotations
@@ -188,18 +189,6 @@ def pad_pair(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, size: int = 0) -> np
     pair[0, : len(alpha)] = alpha.probs
     pair[1, : len(beta)] = beta.probs
     return pair
-
-
-def tail_chain(pair: np.ndarray) -> np.ndarray:
-    """A padded pair's tail sums, both rows in one cumsum adding one level at a time from the
-    last: row 0 holds T_beta and row 1 T_alpha, at the origin, then at levels m..1, m being
-    beta's support.  Levels past m add no target mass, and constrain nothing that reads this."""
-    m = int(np.count_nonzero(pair[1]))
-    if m == 0:
-        raise ValueError("target spectrum is all zero")
-    points = np.zeros((2, m + 1))
-    points[:, 1:] = pair[::-1, ::-1].cumsum(axis=1)[:, -m:]
-    return points
 
 
 def pad_to_common(a: SchmidtSpectrum, b: SchmidtSpectrum) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:

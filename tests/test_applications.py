@@ -71,6 +71,29 @@ def test_explicit_dimension_must_be_a_positive_integer(quantity, value):
         quantity(BELL, value)
 
 
+@pytest.mark.parametrize(
+    "quantity", [concentration_fidelity, robustness_of_entanglement, teleportation_fidelity]
+)
+def test_a_dimension_past_the_float_range_is_refused(quantity):
+    # the fidelities divide by float(n), which overflows past about 1.8e308
+    for n in (10**400, 2**1024, 10**5000):
+        with pytest.raises(ValueError, match=f"^dimension of {n.bit_length()} bits past the float range$"):
+            quantity(BELL, n)
+
+
+@pytest.mark.parametrize(
+    ("n", "values"),
+    [
+        (2**1023, (2.225073858507202e-308, 1.0000000000000004, 3.3376107877608026e-308)),
+        # the largest n whose float is finite: it rounds to the largest float
+        (2**1024 - 2**970 - 1, (1.112536929253601e-308, 1.0000000000000004, 1.6688053938804015e-308)),
+    ],
+)
+def test_a_dimension_with_a_finite_float_keeps_its_value(n, values):
+    quantities = (concentration_fidelity, robustness_of_entanglement, teleportation_fidelity)
+    assert tuple(quantity(BELL, n) for quantity in quantities) == values
+
+
 def test_robustness_values():
     assert robustness_of_entanglement(SchmidtSpectrum((1.0, 0.0))) == pytest.approx(0.0, abs=1e-12)
     for n in (2, 3, 5):

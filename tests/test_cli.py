@@ -2,16 +2,19 @@ import csv
 import io
 import json
 import math
+import os
+import re
 import shlex
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from itertools import chain
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import spectra
@@ -291,6 +294,12 @@ def test_teleport_rejects_a_dimension_below_the_support(capsys):
     assert err == "error: dimension 1 below the 3 nonzero coefficients\n"
 
 
+def test_teleport_rejects_a_dimension_past_the_float_range(capsys):
+    dim = "1" + "0" * 400
+    code, out, err = run(capsys, "teleport", '{"schmidt":[0.5,0.5]}', "--dim", dim)
+    assert (code, out, err) == (2, "", f"error: dimension of {int(dim).bit_length()} bits past the float range\n")
+
+
 def test_dilute(capsys):
     code, out, _ = run(capsys, "dilute", "2", '{"schmidt":[0.6,0.3,0.1]}', "--format", "json")
     payload = json.loads(out)
@@ -536,6 +545,15 @@ def test_verify_over_the_sample_budget_exits_2(capsys, monkeypatch, flag, what):
     assert (code, out, err) == (2, "", f"error: 101 {what} exceed the budget of 100\n")
 
 
+def test_verify_refuses_a_grid_whose_count_is_too_long_to_print(capsys, monkeypatch):
+    # the grid's lower bound has about 12 850 digits: the refusal gives its bit length
+    monkeypatch.delenv("LOCCXFORM_BUDGET", raising=False)
+    uniform = json.dumps({"schmidt": [0.001] * 1000})
+    code, out, err = run(capsys, "verify", uniform, uniform, "--seed", "1", "--grid-step", "1e-18")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: at least a \d+-bit number of grid points exceed the budget of 10000000\n", err)
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [("--seed", "-1"), ("--trials", "0"), ("--ensembles", "0"), ("--grid-step", "0"),
@@ -599,6 +617,28 @@ def test_sweep_unwritable_path(tmp_path, capsys):
 def test_sweep_range_validation(capsys):
     code, _, err = run(capsys, "sweep", "--start", "0.9", "--stop", "0.1")
     assert code == 2
+
+
+def test_sweep_steps_count_against_the_budget(capsys, monkeypatch):
+    monkeypatch.setenv("LOCCXFORM_BUDGET", "100")
+    assert run(capsys, "sweep", "--steps", "100")[0] == 0
+    for steps in ("101", str(2**63), "1" + "0" * 400):
+        code, out, err = run(capsys, "sweep", "--steps", steps)
+        assert (code, out, err) == (2, "", f"error: {steps} steps exceed the budget of 100\n")
+
+
+def test_sweep_writes_each_row_as_it_is_computed(monkeypatch):
+    out, lines = io.StringIO(), []
+
+    def counted(alpha, beta):
+        lines.append(out.getvalue().count("\n"))
+        return optimal_fidelity(alpha, beta)
+
+    monkeypatch.setattr(cli, "optimal_fidelity", counted)
+    with redirect_stdout(out):
+        assert main(["sweep", "--steps", "4"]) == 0
+    # the header, then one row per report already computed
+    assert lines == [1, 2, 3, 4]
 
 
 def test_emit_csv_header_only():
@@ -709,37 +749,45 @@ def flag(name: str, values: st.SearchStrategy) -> st.SearchStrategy[list[str]]:
     return st.one_of(st.just([]), values.map(lambda value: [f"{name}={value}"]))
 
 
+def counts(low: int, high: int) -> st.SearchStrategy[int]:
+    """An integer in [low, high], or one too large for an int64 or a float."""
+    return st.integers(low, high) | st.sampled_from([2**63, 10**400])
+
+
 POSITIONALS = {"report": 2, "schmidt": 1, "teleport": 1, "dilute": 1, "catalyze": 3, "nl-dist": 2, "verify": 2}
 
 
 @st.composite
 def cli_calls(draw) -> list[str]:
     """Arguments of one subcommand: states from ``state_args``, and flags of
-    the right type in small ranges."""
+    the right type in small ranges, counts and dimensions also past int64 and float."""
     command = draw(st.sampled_from([*POSITIONALS, "sweep"]))
     if command == "sweep":
         bounds = st.floats(-0.2, 1.2)
         flags = [flag("--phi", state_args()), flag("--start", bounds), flag("--stop", bounds),
-                 flag("--steps", st.integers(-1, 6))]
+                 flag("--steps", counts(-1, 6))]
         return ["sweep", *chain.from_iterable(map(draw, flags))]
     argv = [command, *(draw(state_args()) for _ in range(POSITIONALS[command]))]
     if command == "dilute":
-        argv.insert(1, str(draw(st.integers(-1, 8))))
+        argv.insert(1, str(draw(counts(-1, 8))))
     flags = {
         "report": [flag("--epsilon", st.floats(-0.5, 2.5))],
         "catalyze": [flag("--epsilon", st.floats(-0.5, 2.5))],
-        "teleport": [flag("--dim", st.integers(-1, 8))],
+        "teleport": [flag("--dim", counts(-1, 8))],
         "verify": [st.integers(-2, 2**32).map(lambda seed: [f"--seed={seed}"]), flag("--grid-step", st.floats(0.05, 1.5)),
-                   flag("--trials", st.integers(-1, 7)), flag("--ensembles", st.integers(-1, 3))],
+                   flag("--trials", counts(-1, 7)), flag("--ensembles", counts(-1, 3))],
     }.get(command, [])
     return [*argv, *chain.from_iterable(map(draw, flags)), *draw(flag("--format", st.sampled_from(["text", "json"])))]
 
 
 @given(argv=cli_calls())
+@example(argv=["teleport", '{"schmidt":[0.5,0.5]}', f"--dim={10**400}"])
+@example(argv=["sweep", f"--steps={10**400}"])
 @settings(max_examples=150, deadline=None)
 def test_every_subcommand_exits_with_a_documented_code_and_message(argv):
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    budget = mock.patch.dict(os.environ, {"LOCCXFORM_BUDGET": str(10**5)})  # refuses big counts at once
+    with redirect_stdout(out), redirect_stderr(err), budget:
         code = main(argv)
     assert code in (0, 2, 3, 4)
     for line in err.getvalue().splitlines():

@@ -18,7 +18,8 @@ from loccxform import (
     optimal_fidelity,
     weak_submajorizes,
 )
-from loccxform.spectra import RATIO_TIE_TOL, pad_pair, tail_chain
+from loccxform.faithful import tail_chain
+from loccxform.spectra import RATIO_TIE_TOL, pad_pair
 from scan_reference import reference_conclusive, reference_report, reference_weak_submajorizes
 
 def bits(values) -> bytes:

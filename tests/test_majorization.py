@@ -13,7 +13,8 @@ from loccxform import (
     tensor,
     weak_submajorizes,
 )
-from loccxform.spectra import PARTIAL_SUM_TOL, pad_pair, pad_to_common, tail_chain
+from loccxform.faithful import tail_chain
+from loccxform.spectra import PARTIAL_SUM_TOL, pad_pair, pad_to_common
 
 BELL = SchmidtSpectrum((0.5, 0.5))
 PRODUCT = SchmidtSpectrum((1.0, 0.0))

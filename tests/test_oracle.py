@@ -116,6 +116,31 @@ def test_sample_counts_count_against_the_budget(monkeypatch, sample, what):
         sample(101)
 
 
+def test_a_count_too_long_for_a_decimal_string_is_refused_by_its_size(monkeypatch):
+    # a 1000-level pair at step 1e-18 has a lower bound of about 12 850 digits,
+    # more than Python converts an int to a string for
+    monkeypatch.delenv("LOCCXFORM_BUDGET", raising=False)
+    uniform = SchmidtSpectrum.uniform(1000)
+    message = r"^at least a \d+-bit number of grid points exceed the budget of 10000000$"
+    with pytest.raises(GridBudgetError, match=message):
+        grid_max_fidelity(uniform, uniform, GridSpec(1000, 1e-18))
+    monkeypatch.setenv("LOCCXFORM_BUDGET", "100")
+    count = 10**5000
+    with pytest.raises(GridBudgetError, match=f"^a {count.bit_length()}-bit number of trials exceed"):
+        sample_unitary_overlap(diagonal_state(BELL), diagonal_state(BELL), count, seed=0)
+
+
+@pytest.mark.parametrize("resolution", [1, 10, 1000, 10**18, 2**62 - 1, 2**62, 2**62 + 1])
+def test_ceil_thresholds_equal_a_fraction_reference(resolution):
+    heads = [0.0, 5e-324, 2.5e-323, 2.225073858507201e-308, 2.2250738585072014e-308, 1.0,
+             math.nextafter(1.0, 2.0)]
+    for k in {1, 3, resolution // 7, resolution - 1, resolution} - {0}:
+        at = k / resolution
+        heads += [math.nextafter(at, 0.0), at, math.nextafter(at, 2.0)]
+    expected = [min(max(math.ceil(Fraction(h) * resolution), 0), resolution) for h in heads]
+    assert oracle._exact_ceil_thresholds(np.array(heads), resolution).tolist() == expected
+
+
 def test_unitary_pair_validation():
     # the basis-aligning pair the Monte Carlo oracle injects is unitary and
     # reaches the aligned fidelity

@@ -22,8 +22,9 @@ from loccxform import (
     tensor,
     weak_submajorizes,
 )
+from loccxform.faithful import tail_chain
 from loccxform.oracle import _batch_random_unitaries
-from loccxform.spectra import NORMALIZATION_ACCEPT, NORMALIZATION_ATOL, pad_pair, tail_chain
+from loccxform.spectra import NORMALIZATION_ACCEPT, NORMALIZATION_ATOL, pad_pair
 from spectrum_reference import reference_spectrum
 
 
