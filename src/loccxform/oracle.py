@@ -8,6 +8,7 @@ sampled search.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections.abc import Iterator
@@ -69,7 +70,14 @@ def _grid_budget() -> int:
     """Most grid points a search may enumerate, or samples a sampler may draw:
     LOCCXFORM_BUDGET, or the built-in default."""
     text = os.environ.get(BUDGET_ENV, str(DEFAULT_GRID_BUDGET))
-    return positive_int(int(text) if text.strip().isdecimal() else text, BUDGET_ENV)
+    if text.strip().isdecimal():
+        try:
+            text = int(text)
+        except ValueError:  # decimal digits that int() refuses: past Python's digit limit
+            raise ValueError(
+                f"{BUDGET_ENV} has {len(text.strip())} digits, more than Python converts to an int"
+            ) from None
+    return positive_int(text, BUDGET_ENV)
 
 
 def _count_text(count: int) -> str:
@@ -86,20 +94,26 @@ def check_budget(count: int, what: str) -> None:
         raise GridBudgetError(f"{_count_text(count)} {what} exceed the budget of {budget}")
 
 
-def _batch_random_unitaries(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` Haar-random n x n unitaries, shape (count, n, n).
+def _batch_random_unitaries(
+    counts: tuple[int, ...], n: int, rng: np.random.Generator
+) -> list[np.ndarray]:
+    """One stack of Haar-random n x n unitaries per count, shapes (count, n, n).
 
-    Each Z = X + iY has independent standard normal entries, X drawn first.
-    Z is invertible with probability one, and then has exactly one
-    factorisation Z = QR with Q unitary and R upper triangular with a
-    positive real diagonal; that Q is Haar-distributed.  LAPACK's QR leaves
-    R's diagonal phases free, so they are moved into Q (F. Mezzadri, Notices
-    AMS 54, 592 (2007)).
+    Each Z = X + iY has independent standard normal entries; the stacks are
+    drawn in order, each X before its Y.  Z is invertible with probability
+    one, and then has exactly one factorisation Z = QR with Q unitary and R
+    upper triangular with a positive real diagonal; that Q is
+    Haar-distributed.  LAPACK's QR leaves R's diagonal phases free, so they
+    are moved into Q (F. Mezzadri, Notices AMS 54, 592 (2007)).  LAPACK
+    factors each matrix of a stack on its own, so one QR call serves every
+    stack, and each Q is the one a call on its stack alone would give.
     """
-    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    z = np.concatenate([rng.standard_normal((c, n, n)) + 1j * rng.standard_normal((c, n, n))
+                        for c in counts])
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d / np.abs(d))[:, None, :]
+    q *= (d / np.abs(d))[:, None, :]
+    return [q[end - c:end] for c, end in zip(counts, itertools.accumulate(counts))]
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +170,17 @@ def grid_max_fidelity(alpha: SchmidtSpectrum, beta: SchmidtSpectrum, grid: GridS
     if max(alpha.nonzero_count, beta.nonzero_count) > grid.dimension:
         raise ValueError("grid dimension below the spectra's nonzero support")
     big_n, slots, budget = grid.resolution, int(grid.dimension), _grid_budget()
-    # a partition into k parts orders into at most k! compositions: this lower
-    # bound refuses a fine grid before its exact count is paid for
+    # the points are the partitions of big_n into at most k parts, and each
+    # orders into at least one and at most k! compositions into k parts: a
+    # grid is refused by the lower bound before its exact count is paid for,
+    # and the exact count is paid for only when the upper bound is over budget
     k = min(slots, big_n)
-    lower = -(-math.comb(big_n + k - 1, k - 1) // math.factorial(k))
+    compositions = math.comb(big_n + k - 1, k - 1)
+    lower = -(-compositions // math.factorial(k))
     if lower > budget:
         raise GridBudgetError(f"at least {_count_text(lower)} grid points exceed the budget of {budget}")
-    check_budget(_grid_size(big_n, slots), "grid points")
+    if compositions > budget and (points := _grid_size(big_n, slots)) > budget:
+        raise GridBudgetError(f"{_count_text(points)} grid points exceed the budget of {budget}")
     # sorted spectra: whatever lies past the dimension is zero padding
     a, b = pad_pair(alpha, beta, slots)
     b, thresholds = b[:slots], _exact_ceil_thresholds(np.cumsum(a[:slots]), big_n)
@@ -195,21 +213,33 @@ def grid_fidelity_floor(xi: SchmidtSpectrum, beta: SchmidtSpectrum, grid: GridSp
 # ---------------------------------------------------------------------------
 
 
-def _overlaps(m_tau: np.ndarray, m_omega: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """|<tau|(U_b x V_c)|omega>|^2 for every U_b in ``us`` and V_c in ``vs``:
-    a (len(us), len(vs)) matrix.
+def _factors(
+    m_tau: np.ndarray, m_omega: np.ndarray, us: np.ndarray, vs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two factors of |<tau|(U_b x V_c)|omega>|^2's amplitude, flattened
+    over (i, k): (U_b M_omega)_ik as an (n^2, len(us)) matrix and
+    (conj(M_tau) V_c)_ik as an (n^2, len(vs)) one.
 
     The amplitude Tr(M_tau^H U M_omega V^T) is the sum over (i, k) of
     (U M_omega)_ik (conj(M_tau) V)_ik, bilinear in (U, V), so one product of
-    the two factors flattened over (i, k) scores every pair.  The product is
-    an einsum, not BLAS: it adds each pair's terms in order without fused
-    multiply-adds, so the aligning pair's overlap, the value ``verify``
-    prints, keeps the bits of a term-by-term sum.
+    the two factors scores every pair.
     """
     n = len(m_tau)
     left = m_omega.T @ us.T.reshape(n, -1)  # [k, (i, b)]: (U_b M_omega)_ik
     right = m_tau.conj() @ vs.T  # [k, i, c]: (conj(M_tau) V_c)_ik
-    amp = np.einsum("kb,kc->bc", left.reshape(n * n, -1), right.reshape(n * n, -1))
+    return left.reshape(n * n, -1), right.reshape(n * n, -1)
+
+
+def _overlaps(m_tau: np.ndarray, m_omega: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """|<tau|(U_b x V_c)|omega>|^2 for every U_b in ``us`` and V_c in ``vs``:
+    a (len(us), len(vs)) matrix, the product of ``_factors``.
+
+    The product is an einsum, not BLAS: it adds each pair's terms in order
+    without fused multiply-adds, so the aligning pair's overlap, the value
+    ``verify`` prints, keeps the bits of a term-by-term sum.  Only the
+    injected pairs are scored here; ``_sampled_overlaps`` uses BLAS.
+    """
+    amp = np.einsum("kb,kc->bc", *_factors(m_tau, m_omega, us, vs))
     return amp.real**2 + amp.imag**2
 
 
@@ -220,21 +250,28 @@ def _sampled_overlaps(
     of ceil(sqrt(trials)) Haar U's (drawn first) by ceil(trials / rows) Haar
     V's, in row blocks of at most ``_MC_BLOCK_ELEMENTS`` entries.  Every U is
     scored: (rows - 1) * cols < trials, as (rows - 1)^2 < trials.
+
+    Both stacks come from one QR call, and each block is one BLAS product
+    of ``_factors``: its fused multiply-adds may round an entry a few ulps
+    away from ``_overlaps``' einsum.  The largest overlap there is, the
+    aligning pair's, stays on the einsum.  For n > 1 a Haar pair lands
+    within a few ulps of it with probability zero; at n = 1 every pair
+    reaches it, but each entry is a single product, which BLAS rounds as
+    the einsum does.  So the maximum keeps the einsum's bits.
     """
-    n = len(m_tau)
     rows = math.isqrt(trials - 1) + 1
-    us = _batch_random_unitaries(rows, n, rng)
-    vs = _batch_random_unitaries(-(-trials // rows), n, rng)
+    us, vs = _batch_random_unitaries((rows, -(-trials // rows)), len(m_tau), rng)
+    left, right = _factors(m_tau, m_omega, us, vs)
     step = max(1, _MC_BLOCK_ELEMENTS // len(vs))
     for start in range(0, rows, step):
-        block = _overlaps(m_tau, m_omega, us[start:start + step], vs)
-        yield block.ravel()[: trials - start * len(vs)]
+        amp = left[:, start:start + step].T @ right
+        yield (amp.real**2 + amp.imag**2).ravel()[: trials - start * len(vs)]
 
 
 def _aligning_pair(m_tau: np.ndarray, m_omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The local unitaries (U, V) mapping omega's Schmidt bases onto tau's."""
-    p_tau, _, vh_tau = np.linalg.svd(m_tau)
-    p_omega, _, vh_omega = np.linalg.svd(m_omega)
+    """The local unitaries (U, V) mapping omega's Schmidt bases onto tau's,
+    from one stacked SVD of the two amplitude matrices."""
+    (p_tau, p_omega), _, (vh_tau, vh_omega) = np.linalg.svd(np.stack([m_tau, m_omega]))
     u = p_tau @ p_omega.conj().T
     v = (vh_omega.conj().T @ vh_tau).T
     return u, v
@@ -278,22 +315,23 @@ def _tail_sums(arr: np.ndarray) -> np.ndarray:
     return np.cumsum(arr[..., ::-1], axis=-1)[..., ::-1]
 
 
-def _excess(tails_a: np.ndarray, branches: np.ndarray) -> np.ndarray:
-    """T_g(l) - T_a(l) at the levels l = 2..n for each branch g, where T(l) is
-    the tail sum from level l on.  Level 1 is left out: its tail sum is the
-    total probability, 1 for every spectrum, so comparing it would compare
-    two rounded totals of 1."""
-    return (_tail_sums(branches) - tails_a)[..., 1:]
+def _excess(tails_a: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """T_g(l) - T_a(l) at the levels l = 2..n for each branch g, given the
+    branches' tail sums, where T(l) is the tail sum from level l on.  Level 1
+    is left out: its tail sum is the total probability, 1 for every
+    spectrum, so comparing it would compare two rounded totals of 1."""
+    return (tails - tails_a)[..., 1:]
 
 
-def _feasible(tails_a: np.ndarray, weights: np.ndarray, branches: np.ndarray) -> np.ndarray:
-    """Which rows keep sum_k w_k (T_k(l) - T_a(l)) <= 0 at every level l >= 2.
+def _feasible(tails_a: np.ndarray, weights: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Which rows keep sum_k w_k (T_k(l) - T_a(l)) <= 0 at every level l >= 2,
+    given the (rows, k, n) tail sums T_k of the rows' branches.
 
     The difference form gives exactly 0 for a copy of a, whatever the weights'
     rounded sum.  Rounding is monotone, so a row stays feasible when a branch
     whose ``_excess`` is nowhere positive replaces a copy of a.
     """
-    return np.all(np.einsum("bk,bkn->bn", weights, _excess(tails_a, branches)) <= 0.0, axis=-1)
+    return np.all(np.einsum("bk,bkn->bn", weights, _excess(tails_a, tails)) <= 0.0, axis=-1)
 
 
 def ensemble_is_feasible(
@@ -316,26 +354,36 @@ def ensemble_is_feasible(
     n = max(len(alpha), *map(len, branches))
     pairs = [pad_pair(alpha, SchmidtSpectrum(g), n) for g in branches]
     gs = np.stack([g for _, g in pairs])[None]
-    return bool(_feasible(_tail_sums(pairs[0][0]), weights[None] / weights.sum(), gs)[0])
+    return bool(_feasible(_tail_sums(pairs[0][0]), weights[None] / weights.sum(), _tail_sums(gs))[0])
 
 
-def _dominating_variants(a: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """(m, n) spectra with tails at most a's: 1-3 upward mass shifts each.
+def _dominating_variants(
+    a: np.ndarray, tails_a: np.ndarray, m: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(m, n) spectra with tails at most a's, 1-3 upward mass shifts each, and
+    their (m, n) tail sums.
 
-    Rounding can leave a computed tail sum an ulp above a's; such a variant
-    is replaced by a itself, so no variant's ``_excess`` is positive.
+    The rows are kept ascending, reversed, in one C-contiguous buffer: each
+    shift scatters through flat indices and each sort is in place, and the
+    tail sums are one cumsum along the rows.  Rounding can leave a computed
+    tail sum an ulp above a's; such a variant is replaced by a itself, so no
+    variant's ``_excess`` is positive.
     """
-    g, n = np.tile(a, (m, 1)), len(a)
-    idx, shifts = np.arange(m), rng.integers(1, 4, size=m)
+    n = len(a)
+    h = np.empty((m, n))
+    h[:] = a[::-1]
+    flat, base, shifts = h.ravel(), np.arange(m) * n + (n - 1), rng.integers(1, 4, size=m)
     for step in range(3 if n > 1 else 0):
         j = rng.integers(1, n, size=m)
         i = rng.integers(0, j)
-        amount = rng.random(m) * g[idx, j] * (step < shifts)
-        g[idx, j] -= amount
-        g[idx, i] += amount
-        g = np.sort(g)[:, ::-1]
-    g[np.any(_excess(_tail_sums(a), g) > 0.0, axis=-1)] = a
-    return g
+        amount = rng.random(m) * flat[base - j] * (step < shifts)
+        flat[base - j] -= amount
+        flat[base - i] += amount
+        h.sort(axis=1)
+    tails = np.cumsum(h, axis=1)[:, ::-1]
+    bad = np.any(_excess(tails_a, tails) > 0.0, axis=-1)
+    h[bad], tails[bad] = a[::-1], tails_a
+    return h[:, ::-1], tails
 
 
 def sample_feasible_ensembles(
@@ -344,17 +392,24 @@ def sample_feasible_ensembles(
     """Average overlaps with beta of random feasible probabilistic conversions:
     the do-nothing ensemble {1, alpha}, then batches of up to four weighted
     branches, each alpha, a variant dominating it, beta or a sorted Dirichlet
-    draw.  A slot's kind is drawn first and only its branch is built.  A row
-    that fails ``_feasible`` with its variants still standing as alpha has
-    all its branches made variants; the round draws every variant in one
+    draw.  A slot's kind is drawn first and only its branch is built, with
+    its tail sums beside it: alpha's and beta's are copied, a Dirichlet
+    draw's take one cumsum and the variants come with theirs.  A row that
+    fails ``_feasible`` with its variants still standing as alpha has all
+    its branches made variants; the round draws every variant in one
     ``_dominating_variants`` call.  Swapping copies of alpha for variants
     cannot make a row fail, so the final test, kept as the oracle's guard,
     drops none."""
     count = positive_int(count, "count")
     check_budget(count, "ensembles")
     rng = np.random.default_rng(seed_int(seed))
-    a_arr, b_arr = pad_pair(alpha, beta)
-    n, k_max, tails_a = len(a_arr), _ENSEMBLE_MAX_BRANCHES, _tail_sums(a_arr)
+    pair = pad_pair(alpha, beta)
+    pair_tails = _tail_sums(pair)
+    a_arr, b_arr = pair
+    tails_a = pair_tails[0]
+    # kinds 0-3: alpha, variant (alpha until the variants are drawn), beta, Dirichlet
+    kind_rows, kind_tails = pair[[0, 0, 1, 0]], pair_tails[[0, 0, 1, 0]]
+    n, k_max = len(a_arr), _ENSEMBLE_MAX_BRANCHES
     cap = max(1, _ENSEMBLE_BATCH_ELEMENTS // (k_max * n))
     values = [aligned_fidelity(alpha, beta)]
     while len(values) < count:
@@ -363,15 +418,15 @@ def sample_feasible_ensembles(
         live = np.arange(k_max) < rng.integers(1, k_max + 1, size=(batch, 1))
         weights = rng.standard_exponential((batch, k_max)) * live
         weights /= weights.sum(axis=1, keepdims=True)
-        # kinds 0-3: alpha, variant, beta, Dirichlet; dead slots stand as alpha
+        # dead slots stand as alpha
         kind = np.where(live, rng.integers(0, 4, size=(batch, k_max)), 0)
-        branches = np.tile(a_arr, (batch, k_max, 1))
-        branches[kind == 2] = b_arr
+        branches, tails = kind_rows[kind], kind_tails[kind]
         mixed = kind == 3
-        branches[mixed] = np.sort(rng.dirichlet(np.ones(n), size=int(mixed.sum())))[:, ::-1]
-        varied = (kind == 1) | (live & ~_feasible(tails_a, weights, branches)[:, None])
-        branches[varied] = _dominating_variants(a_arr, int(varied.sum()), rng)
+        ascending = np.sort(rng.dirichlet(np.ones(n), size=int(mixed.sum())))
+        branches[mixed], tails[mixed] = ascending[:, ::-1], np.cumsum(ascending, axis=1)[:, ::-1]
+        varied = (kind == 1) | (live & ~_feasible(tails_a, weights, tails)[:, None])
+        branches[varied], tails[varied] = _dominating_variants(a_arr, tails_a, int(varied.sum()), rng)
         overlaps = np.minimum(1.0, np.sqrt(branches * b_arr).sum(axis=-1) ** 2)
         averages = (weights * overlaps).sum(axis=1)
-        values.extend(averages[_feasible(tails_a, weights, branches)].tolist())
+        values.extend(averages[_feasible(tails_a, weights, tails)].tolist())
     return values

@@ -554,6 +554,13 @@ def test_verify_refuses_a_grid_whose_count_is_too_long_to_print(capsys, monkeypa
     assert re.fullmatch(r"error: at least a \d+-bit number of grid points exceed the budget of 10000000\n", err)
 
 
+def test_verify_refuses_a_budget_past_the_int_digit_limit_by_name(capsys, monkeypatch):
+    monkeypatch.setenv("LOCCXFORM_BUDGET", "1" * 5000)
+    code, out, err = run(capsys, "verify", PSI, PHI, "--seed", "1")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: LOCCXFORM_BUDGET has 5000 digits, [^\n]*\n", err)
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [("--seed", "-1"), ("--trials", "0"), ("--ensembles", "0"), ("--grid-step", "0"),

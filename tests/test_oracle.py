@@ -3,12 +3,14 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle_reference as reference
 from conftest import floored_spectrum, random_spectrum, random_state, spectra
 from loccxform import (
     BipartiteState,
@@ -101,6 +103,39 @@ def test_budget_env_var(monkeypatch):
             grid_max_fidelity(BELL, BELL, GridSpec(2, 0.01))
 
 
+def test_a_budget_past_the_int_digit_limit_is_refused_by_name(monkeypatch):
+    # 5000 decimal digits: more than Python's int() converts by default (4300)
+    monkeypatch.setenv("LOCCXFORM_BUDGET", "1" * 5000)
+    with pytest.raises(ValueError, match="^LOCCXFORM_BUDGET has 5000 digits, "):
+        grid_max_fidelity(BELL, BELL, GridSpec(2, 0.01))
+
+
+@pytest.mark.parametrize(("total", "parts"), [(2, 2), (7, 3), (12, 3), (10, 4), (6, 5), (9, 7), (5, 8)])
+def test_the_grid_counts_its_points_exactly_whenever_their_upper_bound_is_over_budget(
+    monkeypatch, total, parts
+):
+    # C(N + k - 1, k - 1) compositions bound the points from above: a budget
+    # at or past it skips the exact count, and any budget below the exact
+    # count is refused, however close.  _grid_size is replaced by a counter
+    # returning the exact count taken first.
+    k, grid = min(total, parts), GridSpec(parts, 1 / total)
+    exact, compositions = oracle._grid_size(total, parts), math.comb(total + k - 1, k - 1)
+    assert exact <= compositions
+    counted = []
+    monkeypatch.setattr(oracle, "_grid_size", lambda *args: counted.append(args) or exact)
+    for budget in {exact - 1, exact, compositions - 1, compositions} - {0}:
+        monkeypatch.setenv("LOCCXFORM_BUDGET", str(budget))
+        counted.clear()
+        if exact > budget:
+            with pytest.raises(GridBudgetError, match=f"grid points exceed the budget of {budget}$"):
+                grid_max_fidelity(PRODUCT, PRODUCT, grid)
+        else:
+            assert grid_max_fidelity(PRODUCT, PRODUCT, grid) == pytest.approx(1.0, abs=1e-12)
+        # counted between the bounds: at most k! compositions order one point
+        lower = -(-compositions // math.factorial(k))
+        assert counted == ([(total, parts)] if compositions > budget >= lower else [])
+
+
 @pytest.mark.parametrize(
     ("sample", "what"),
     [
@@ -161,7 +196,7 @@ def test_haar_random_unitary_is_unitary():
     # keeps every Q unitary to within 3e-15 whatever Z's condition number
     rng = np.random.default_rng(2)
     for n in (2, 3, 4, 5, 8):
-        us = oracle._batch_random_unitaries(20_000, n, rng)
+        us, = oracle._batch_random_unitaries((20_000,), n, rng)
         assert us.shape == (20_000, n, n)
         gram = np.swapaxes(us, 1, 2).conj() @ us
         assert np.linalg.norm(gram - np.eye(n), axis=(1, 2)).max() <= 1e-14
@@ -174,7 +209,7 @@ def test_haar_sampler_is_the_unique_qr_factor_of_the_draws(n):
     # the regenerated draws pins both the draw order and the phase fix.  A
     # Haar U has mean zero; without the phase fix entry means reach 0.2-0.6.
     count = 20_000
-    us = oracle._batch_random_unitaries(count, n, np.random.default_rng(n))
+    us, = oracle._batch_random_unitaries((count,), n, np.random.default_rng(n))
     draws = np.random.default_rng(n)
     real = draws.standard_normal((count, n, n))
     z = real + 1j * draws.standard_normal((count, n, n))
@@ -355,7 +390,7 @@ def test_overlaps_of_general_states_match_the_explicit_product():
         tau, omega = random_state(rng, n), random_state(rng, n)
         m_tau, m_omega = tau.amplitudes, omega.amplitudes
         u, v = oracle._aligning_pair(m_tau, m_omega)
-        sampled = (oracle._batch_random_unitaries(7, n, rng), oracle._batch_random_unitaries(5, n, rng))
+        sampled = oracle._batch_random_unitaries((7, 5), n, rng)
         for us, vs in (sampled, (np.stack([np.eye(n), u]), np.stack([np.eye(n), v]))):
             got = oracle._overlaps(m_tau, m_omega, us, vs)
             want = [[abs(np.vdot(m_tau, a @ m_omega @ b.T)) ** 2 for b in vs] for a in us]
@@ -380,8 +415,8 @@ def test_sampled_overlaps_score_the_first_trials_pairs_of_the_product(trials):
     rows = math.ceil(math.sqrt(trials))
     cols = math.ceil(trials / rows)
     draws = np.random.default_rng(17)
-    us = oracle._batch_random_unitaries(rows, n, draws)
-    vs = oracle._batch_random_unitaries(cols, n, draws)
+    us, = oracle._batch_random_unitaries((rows,), n, draws)
+    vs, = oracle._batch_random_unitaries((cols,), n, draws)
     m_tau, m_omega = tau.amplitudes, omega.amplitudes
     want = [abs(np.vdot(m_tau, us[i // cols] @ m_omega @ vs[i % cols].T)) ** 2 for i in range(trials)]
     assert got == pytest.approx(np.array(want), abs=1e-12)
@@ -514,11 +549,12 @@ def test_every_all_variant_row_is_feasible():
         for _ in range(20):
             a = random_spectrum(rng, n).as_array()
             rows = 500
-            branches = oracle._dominating_variants(a, rows * 4, rng).reshape(rows, 4, n)
+            branches, _ = oracle._dominating_variants(a, oracle._tail_sums(a), rows * 4, rng)
+            branches = branches.reshape(rows, 4, n)
             live = np.arange(4) < rng.integers(1, 5, size=(rows, 1))
             weights = rng.standard_exponential((rows, 4)) * live
             weights /= weights.sum(axis=1, keepdims=True)
-            assert oracle._feasible(oracle._tail_sums(a), weights, branches).all()
+            assert oracle._feasible(oracle._tail_sums(a), weights, oracle._tail_sums(branches)).all()
 
 
 def test_ensemble_with_fewer_branches_than_weights_is_rejected():
@@ -612,3 +648,88 @@ def test_ensembles_at_large_n_take_several_batches():
     assert len(values) == 20
     assert values[0] == aligned_fidelity(alpha, beta)
     assert max(values) <= optimal_fidelity(alpha, beta).f_opt + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The batched samplers against their frozen reference, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def hexes(values) -> list[str]:
+    return [float(value).hex() for value in values]
+
+
+@given(st.integers(1, 8), st.integers(1, 3000), st.integers(0, 2**31 - 1), st.booleans())
+@settings(max_examples=150, deadline=None)
+@example(n=1, trials=1, seed=0, diagonal=False)
+@example(n=3, trials=1000, seed=5, diagonal=True)
+def test_sampled_overlap_is_the_references_bitwise(n, trials, seed, diagonal):
+    # one QR for both stacks and one stacked SVD give the reference's unitaries
+    # bit for bit; BLAS scores the sampled block within an ulp or two of the
+    # reference's einsum, and the maximum, the aligning pair's, keeps its bits
+    rng = np.random.default_rng(seed)
+    if diagonal:  # as verify builds its states
+        tau, omega = (diagonal_state(random_spectrum(rng, n)) for _ in range(2))
+    else:
+        tau, omega = random_state(rng, n), random_state(rng, n)
+    m_tau, m_omega = tau.amplitudes, omega.amplitudes
+    with (mock.patch.object(oracle, "_MC_BLOCK_ELEMENTS", 7),
+          mock.patch.object(reference, "_MC_BLOCK_ELEMENTS", 7)):
+        got = sample_unitary_overlap(tau, omega, trials, seed)
+        want = reference.sample_unitary_overlap(tau, omega, trials, seed)
+        sampled, ref_sampled = (
+            np.concatenate(list(module._sampled_overlaps(m_tau, m_omega, trials, np.random.default_rng(seed))))
+            for module in (oracle, reference)
+        )
+    assert got.hex() == want.hex()
+    assert sampled == pytest.approx(ref_sampled, rel=0, abs=1e-14)
+    rows = math.isqrt(trials - 1) + 1
+    stacks = oracle._batch_random_unitaries((rows, -(-trials // rows)), n, np.random.default_rng(seed))
+    draws = np.random.default_rng(seed)
+    for stack, count in zip(stacks, (rows, -(-trials // rows))):
+        assert stack.tobytes() == reference._batch_random_unitaries(count, n, draws).tobytes()
+    for mine, theirs in zip(oracle._aligning_pair(m_tau, m_omega), reference._aligning_pair(m_tau, m_omega)):
+        assert mine.tobytes() == theirs.tobytes()
+
+
+def ensembles_match_the_reference(alpha, beta, count, seed):
+    got = sample_feasible_ensembles(alpha, beta, count, seed)
+    assert hexes(got) == hexes(reference.sample_feasible_ensembles(alpha, beta, count, seed))
+    a = alpha.as_array()
+    variants, tails = oracle._dominating_variants(a, oracle._tail_sums(a), count, np.random.default_rng(seed))
+    want = reference._dominating_variants(a, count, np.random.default_rng(seed))
+    assert variants.tobytes() == want.tobytes()
+    assert tails.tobytes() == reference._tail_sums(want).tobytes()
+
+
+@given(spectra(8), spectra(8), st.integers(1, 400), st.integers(0, 2**31 - 1))
+@settings(max_examples=150, deadline=None)
+def test_ensembles_are_the_references_bitwise(alpha, beta, count, seed):
+    # one tail-sum array beside the branches, the variants sorted in place in
+    # one ascending buffer: the same draws in the same order, the same values
+    ensembles_match_the_reference(alpha, beta, count, seed)
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_large_ensembles_are_the_references_bitwise(n):
+    rng = np.random.default_rng(n)
+    for count in (1, 7, 150):
+        alpha, beta = random_spectrum(rng, n), random_spectrum(rng, int(rng.integers(1, n + 1)))
+        ensembles_match_the_reference(alpha, beta, count, int(rng.integers(2**31)))
+
+
+def test_one_sampled_overlap_call_factors_with_one_qr_and_one_svd(monkeypatch):
+    # the U and V stacks share one QR call, the aligning pair one stacked SVD
+    rng = np.random.default_rng(151)
+    tau, omega = random_state(rng, 3), random_state(rng, 3)
+    calls = {"qr": 0, "svd": 0}
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for trials in (1, 1000):
+        calls.update(qr=0, svd=0)
+        sample_unitary_overlap(tau, omega, trials, seed=4)
+        assert calls == {"qr": 1, "svd": 1}

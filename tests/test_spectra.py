@@ -247,7 +247,7 @@ def test_schmidt_spectrum_rotated_bell():
     # singular values are invariant under local basis changes
     rng = np.random.default_rng(7)
     bell = np.diag([math.sqrt(0.5), math.sqrt(0.5)])
-    u, v = _batch_random_unitaries(1, 2, rng)[0], _batch_random_unitaries(1, 2, rng)[0]
+    u, v = _batch_random_unitaries((1,), 2, rng)[0][0], _batch_random_unitaries((1,), 2, rng)[0][0]
     state = BipartiteState(u @ bell @ v)
     assert schmidt_spectrum(state).probs == pytest.approx((0.5, 0.5), abs=1e-12)
 
@@ -257,7 +257,7 @@ def test_schmidt_spectrum_constructed_singular_values():
     rng = np.random.default_rng(11)
     target = (0.9, 0.1)
     core = np.diag(np.sqrt(np.array(target)))
-    u, v = _batch_random_unitaries(1, 2, rng)[0], _batch_random_unitaries(1, 2, rng)[0]
+    u, v = _batch_random_unitaries((1,), 2, rng)[0][0], _batch_random_unitaries((1,), 2, rng)[0][0]
     state = BipartiteState(u @ core @ v)
     assert schmidt_spectrum(state).probs == pytest.approx(target, abs=1e-12)
 
@@ -268,7 +268,7 @@ def test_schmidt_spectrum_invariance_many_rotations():
         n = int(rng.integers(2, 4))
         state = random_state(rng, n)
         reference = schmidt_spectrum(state).probs
-        u, v = _batch_random_unitaries(1, n, rng)[0], _batch_random_unitaries(1, n, rng)[0]
+        u, v = _batch_random_unitaries((1,), n, rng)[0][0], _batch_random_unitaries((1,), n, rng)[0][0]
         rotated = BipartiteState(u @ state.amplitudes @ v)
         assert schmidt_spectrum(rotated).probs == pytest.approx(reference, abs=1e-10)
 
